@@ -157,7 +157,7 @@ def _cmd_riemann(args) -> int:
         "integral_0_1": str(f.integrate(0, 1)),
     }
     if total and f.integrate(0, 1):
-        remainder = riemann_remainder(f)
+        remainder = riemann_remainder(f, nu)
         payload["remainder"] = str(remainder.c)
         payload["remainder_negligible"] = remainder.valid
     # The single-panel condition sampled at a finite, a mid-range and a

@@ -434,6 +434,8 @@ _SUITES: dict[str, Callable[[random.Random, int], list[CaseResult]]] = {
 
 def run_suite(name: str, seed: int = 0, cases: int = 100) -> VerificationReport:
     """Run a named suite (or 'all') with deterministic pseudo-randomness."""
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     start = time.perf_counter()
     if name == "all":
         results: list[CaseResult] = []

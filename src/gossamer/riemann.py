@@ -1,10 +1,10 @@
 """Uniform Riemann sums evaluated in closed form at an infinite partition count.
 
-The sum over j of f(j/nu)*(1/nu) is never iterated: each monomial is
-collapsed through its power-sum closed form and evaluated at the
-infinite partition count nu, so the result is an exact series whose
-standard part is the integral and whose lower-order terms are the
-remainder.
+The sum over j of f(j/nu)*(1/nu) is never iterated: the power-sum
+closed forms fold it into one rational polynomial Q_f in the panel width
+1/nu (the Euler-Maclaurin form), evaluated at the infinite count's
+inverse.  The result is an exact series whose standard part, Q_f(0), is
+the integral and whose lower-order terms are the remainder.
 """
 from __future__ import annotations
 
@@ -79,8 +79,7 @@ class UniformRiemannSum:
     value: Gossamer
 
     def __post_init__(self):
-        if self.partition_count.classify() is not Kind.INFINITE:
-            raise ValueError(f"partition count must be infinite, got {self.partition_count}")
+        _require_infinite(self.partition_count)
 
 
 def _require_infinite(nu: Gossamer) -> None:
@@ -103,16 +102,24 @@ def _inverse_power(nu: Gossamer, k: int) -> Gossamer:
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:
-    """Evaluate sum_{j=1}^{nu} f(j/nu)*(1/nu) exactly, monomial by monomial."""
+    """Evaluate sum_{j=1}^{nu} f(j/nu)*(1/nu) exactly, as a polynomial Q_f in the width 1/nu.
+
+    With S_d(n) = sum_m s_{d,m} n^m the sum is sum_d c_d S_d(nu)/nu^(d+1),
+    so Q_f has coefficients q_i = sum_{d >= i} c_d s_{d,d+1-i}.  Powers of
+    1/nu lead with negative exponents, so every term kept above the floor
+    is exact.
+    """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
-    value = Gossamer(floor=nu.truncation_floor)
+    q = [Fraction(0)] * (len(f.coefficients) + 1)
     for degree, c in enumerate(f.coefficients):
-        if not c:
-            continue
-        power_sum = faulhaber(degree).evaluate(nu)
-        value = value + c * power_sum * _inverse_power(nu, degree + 1)
-    return UniformRiemannSum(f, nu, value)
+        if c:
+            for m, s in enumerate(faulhaber(degree).coefficients):
+                q[degree + 1 - m] += c * s
+    width = Polynomial(q)
+    if width.is_zero:  # Horner's h*0 would inherit the truncated flag of 1/nu
+        return UniformRiemannSum(f, nu, Gossamer(floor=nu.truncation_floor))
+    return UniformRiemannSum(f, nu, width.evaluate(nu.inverse()))
 
 
 def riemann_limit(f: Polynomial) -> Fraction:
@@ -125,14 +132,14 @@ class RiemannRemainder(NamedTuple):
     valid: bool
 
 
-def riemann_remainder(f: Polynomial) -> RiemannRemainder:
-    """The gap c between the uniform sum and the integral over [0, 1].
+def riemann_remainder(f: Polynomial, nu: Optional[Gossamer] = None) -> RiemannRemainder:
+    """The gap c between the uniform sum over nu panels and the integral over [0, 1].
 
     Valid when c vanishes or is negligible against both sides, which is
     the decomposition behind treating the sum and the integral as
-    asymptotically equal.
+    asymptotically equal.  nu defaults to the canonical infinite count w.
     """
-    total = uniform_riemann_sum(f, omega()).value
+    total = uniform_riemann_sum(f, nu).value
     integral = Gossamer.from_rational(f.integrate(0, 1))
     if not total or not integral:
         raise ZeroMagnitudeError("remainder decomposition needs nonzero sum and integral")
@@ -152,25 +159,13 @@ def _scaled_integral_zero_to_nu(f: Polynomial, nu: Gossamer) -> Gossamer:
     return total
 
 
-def _unscaled_sum(f: Polynomial, nu: Gossamer) -> Gossamer:
-    # sum_{j=1}^{nu} f(j/nu), without the 1/nu panel width
-    total = Gossamer(floor=nu.truncation_floor)
-    for degree, c in enumerate(f.coefficients):
-        if not c:
-            continue
-        total = total + c * faulhaber(degree).evaluate(nu) * _inverse_power(nu, degree)
-    return total
-
-
 def integrability_check(f: Polynomial, nu: Optional[Gossamer] = None) -> bool:
-    """Whether the scaled integral and the unscaled sum share their leading term."""
-    nu = omega() if nu is None else nu
-    _require_infinite(nu)
-    lhs = _scaled_integral_zero_to_nu(f, nu)
-    rhs = _unscaled_sum(f, nu)
-    if not lhs or not rhs:
-        raise ZeroMagnitudeError("integrability comparison needs nonzero sides")
-    return lhs.asymptotic_to(rhs)
+    """Whether the scaled integral and the unscaled sum share their leading term.
+
+    They are nu times the integral and the uniform sum, and scaling by nu
+    keeps leading terms, so this is the validity of the remainder.
+    """
+    return riemann_remainder(f, nu).valid
 
 
 def panel_asymptotic(f: Polynomial, nu: Gossamer, j: Gossamer) -> bool:
@@ -215,12 +210,13 @@ def definite_to_sum_pipeline(f: Polynomial, nu: Optional[Gossamer] = None) -> Pi
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
+    inv_nu = _inverse_power(nu, 1)
     plain = Gossamer.from_rational(f.integrate(0, 1), floor=nu.truncation_floor)
-    scaled = _scaled_integral_zero_to_nu(f, nu) * _inverse_power(nu, 1)
+    scaled = _scaled_integral_zero_to_nu(f, nu) * inv_nu
     total = uniform_riemann_sum(f, nu).value
     stages = (
         PipelineStage(1, "integral_0^1 f(x) dx", plain),
-        PipelineStage(2, "integral_0^nu f(x/nu) d(x/nu)", scaled),
+        PipelineStage(2, "integral_0^nu f(x/nu) d(x/nu)", f.integrate(0, nu * inv_nu)),
         PipelineStage(3, "integral_0^nu f(x/nu) (1/nu) dx", scaled),
         PipelineStage(4, "sum_{j=1}^{nu} f(j/nu) (1/nu)", total),
     )

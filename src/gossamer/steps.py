@@ -149,6 +149,13 @@ class Bridge(NamedTuple):
     y_right: Fraction
 
 
+def _require_positive_infinitesimal(eps: Gossamer) -> None:
+    if eps.classify() is not Kind.INFINITESIMAL or eps.compare(0) <= 0:
+        raise NotInfinitesimalError(
+            f"bridge half-width must be a positive infinitesimal, got {eps}"
+        )
+
+
 @dataclass(frozen=True)
 class SmoothedFunction:
     """A step function with each jump replaced by an interpolant on (q-eps, q+eps]."""
@@ -160,28 +167,11 @@ class SmoothedFunction:
     def __post_init__(self):
         if not isinstance(self.bridge_shape, BridgeShape):
             object.__setattr__(self, "bridge_shape", BridgeShape(self.bridge_shape))
-        eps = self.halfwidth
-        if eps.classify() is not Kind.INFINITESIMAL or eps.compare(0) <= 0:
-            raise NotInfinitesimalError(
-                f"bridge half-width must be a positive infinitesimal, got {eps}"
-            )
+        _require_positive_infinitesimal(self.halfwidth)
 
     @property
     def bridges(self) -> Tuple[Bridge, ...]:
         return tuple(Bridge(q, lo, hi) for q, lo, hi in self.base.jumps())
-
-    @property
-    def pieces(self) -> Tuple[tuple, ...]:
-        """Alternating description: constant runs and the bridges between them."""
-        out: list[tuple] = []
-        lo_edge = None
-        for i, level in enumerate(self.base.levels):
-            hi_edge = self.base.breakpoints[i] if i < len(self.base.breakpoints) else None
-            out.append(("constant", lo_edge, hi_edge, level))
-            if hi_edge is not None:
-                out.append(("bridge", hi_edge, self.base.levels[i], self.base.levels[i + 1]))
-            lo_edge = hi_edge
-        return tuple(out)
 
     def value_at(self, x: Union[RationalLike, Gossamer]) -> Gossamer:
         """Exact value, including inside bridges; continuous across every boundary."""
@@ -262,10 +252,7 @@ def trapezoid_discontinuity_budget(f: StepFunction, eps: Gossamer) -> Discontinu
     The unsigned accounting of the area a bridge can occupy; its total
     over finitely many bounded jumps is infinitesimal.
     """
-    if eps.classify() is not Kind.INFINITESIMAL or eps.compare(0) <= 0:
-        raise NotInfinitesimalError(
-            f"bridge half-width must be a positive infinitesimal, got {eps}"
-        )
+    _require_positive_infinitesimal(eps)
     per = tuple(
         abs(hi - lo) * eps + min(hi, lo) * (2 * eps) for _, lo, hi in f.jumps()
     )

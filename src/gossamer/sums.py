@@ -98,15 +98,11 @@ def _as_gossamer(x: Endpoint) -> Gossamer:
 
 
 def _finite_integer(x: Gossamer) -> Optional[int]:
-    """The int behind a finite integer-valued endpoint, else None for infinite ones."""
-    kind = x.classify()
-    if kind is Kind.INFINITE:
-        return None
-    if kind is Kind.ZERO:
-        return 0
-    if len(x.terms) == 1 and x.terms[0][0] == 0 and x.terms[0][1].denominator == 1:
-        return int(x.terms[0][1])
-    raise ValueError(f"endpoint must be an integer or infinite, got {x}")
+    """The int behind a finite endpoint, else None; w + 1 is an endpoint, w + 1/2 is not."""
+    constant = x.coefficient(0)
+    if constant.denominator != 1 or any(e < 0 for e, _ in x.terms):
+        raise ValueError(f"endpoint needs an integer finite part, got {x}")
+    return None if x.classify() is Kind.INFINITE else int(constant)
 
 
 def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
@@ -119,9 +115,9 @@ def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     a, b = _as_gossamer(a), _as_gossamer(b)
     if a.compare(b) > 0:
         raise ValueError(f"empty range: {a} > {b}")
+    ai, bi = _finite_integer(a), _finite_integer(b)
     s = indefinite_sum(g)
     value = sum_at_point(s, b) - sum_at_point(s, a - 1)
-    ai, bi = _finite_integer(a), _finite_integer(b)
     if ai is not None and bi is not None:
         match = value == sum_interval_bruteforce(g, ai, bi)
     else:
@@ -134,9 +130,9 @@ def sum_ftc_half_open(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     a, b = _as_gossamer(a), _as_gossamer(b)
     if a.compare(b) > 0:
         raise ValueError(f"empty range: {a} > {b}")
+    ai, bi = _finite_integer(a), _finite_integer(b)
     s = indefinite_sum(g)
     value = sum_at_point(s, b) - sum_at_point(s, a)
-    ai, bi = _finite_integer(a), _finite_integer(b)
     if ai is not None and bi is not None:
         oracle = sum_interval_bruteforce(g, ai + 1, bi) if ai + 1 <= bi else Fraction(0)
         match = value == oracle

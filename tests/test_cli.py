@@ -35,6 +35,12 @@ class TestRiemann:
     def test_non_infinite_count_is_usage(self):
         assert main(["riemann", "--poly", "x^2", "--nu-exp", "-1"]) == 2
 
+    def test_remainder_at_requested_count(self, capsys):
+        assert main(["riemann", "--poly", "x^2 + x", "--nu-exp", "2", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["sum"] == "5/6 + w^-2 + 1/6*w^-4"
+        assert data["remainder"] == "w^-2 + 1/6*w^-4"
+
 
 class TestFtc:
     def test_human_output(self, capsys):
@@ -63,6 +69,10 @@ class TestSum:
         assert main(["sum", "--term", "k", "--from", "1", "--to", "w", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["value"] == "1/2*w^2 + 1/2*w"
+
+    def test_non_integer_finite_part_is_usage(self, capsys):
+        assert main(["sum", "--term", "k", "--from", "1", "--to", "w+1/2"]) == 2
+        assert "integer finite part" in capsys.readouterr().err
 
     def test_empty_range_is_usage(self):
         assert main(["sum", "--term", "k", "--from", "5", "--to", "3"]) == 2
@@ -145,6 +155,11 @@ class TestVerify:
         first = capsys.readouterr().out
         main(["verify", "--suite", "gossamer-axioms", "--seed", "1", "--cases", "6", "--json"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_nonpositive_case_count_is_usage(self, cases, capsys):
+        assert main(["verify", "--suite", "riemann", "--cases", cases]) == 2
+        assert "cases must be at least 1" in capsys.readouterr().err
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

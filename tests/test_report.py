@@ -1,4 +1,6 @@
 """Verification suites: determinism, serialization round-trip, exit semantics."""
+import hashlib
+
 import pytest
 
 from gossamer import CaseResult, SUITE_NAMES, VerificationReport, run_suite
@@ -26,6 +28,12 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("bogus", seed=0, cases=1)
 
+    @pytest.mark.parametrize("cases", [0, -5])
+    def test_nonpositive_case_count_rejected(self, cases):
+        # With no cases the riemann suite would pass on its report-only probe.
+        with pytest.raises(ValueError):
+            run_suite("riemann", seed=0, cases=cases)
+
     def test_riemann_records_conjecture_probe(self):
         report = run_suite("riemann", seed=0, cases=2)
         probe = [c for c in report.cases if c.id == "riemann-conjecture-probe"]
@@ -34,7 +42,24 @@ class TestRunSuite:
         assert "gap=" in probe[0].actual
 
 
+# sha256 of run_suite(name, seed=0, cases=25).to_json().  Reports are exact,
+# so a refactor must leave every byte in place; a change that means to move
+# one updates the digest and says why.
+REPORT_DIGESTS = {
+    "gossamer-axioms": "4efcbdb65b9dcf1f7971e9c1fdd783b54646f31ad000709164112a93cb44f6eb",
+    "riemann": "8e4f2455c72ca36f0b7bf09827d8c52e2e6183d636ff2726b97519ecdd0ec390",
+    "ftc": "7ed53209a3c1e34e22752f37195a8e449b8a8030f0890ac1963bfd81140718de",
+    "sum-ftc": "65b28a008366e2b7f5757f37aa11e5ddbcd145b4bac71d68dce286a664c8e3aa",
+    "smoothing": "1c6452c56922660b49b90e84889bb6b0c93b38e92fb1a6223f7fa6784587611a",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_report_matches_recorded_digest(self, name):
+        report = run_suite(name, seed=0, cases=25).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == REPORT_DIGESTS[name]
+
     def test_byte_identical_reports(self):
         first = run_suite("gossamer-axioms", seed=9, cases=20).to_json()
         second = run_suite("gossamer-axioms", seed=9, cases=20).to_json()

@@ -94,13 +94,34 @@ class TestUniformSum:
     @given(polynomials, st.integers(min_value=1, max_value=12))
     def test_closed_form_matches_finite_sums(self, f, n):
         # Independent oracle: the value derived at infinity, evaluated at
-        # a finite stand-in count, must equal the directly accumulated sum.
-        value = uniform_riemann_sum(f).value
-        direct = sum(
-            (f.evaluate(Fraction(j, n)) * Fraction(1, n) for j in range(1, n + 1)),
-            Fraction(0),
-        )
-        assert value.at_omega(n) == direct
+        # the finite stand-in w = n, must equal the directly accumulated
+        # sum over the count nu becomes there.  Degree <= 8 keeps every
+        # term above the floor at all three counts, so each value is exact.
+        for nu, count in ((omega(), n), (omega(2), n * n), (3 * omega(), 3 * n)):
+            value = uniform_riemann_sum(f, nu).value
+            direct = sum(
+                (f.evaluate(Fraction(j, count)) * Fraction(1, count) for j in range(1, count + 1)),
+                Fraction(0),
+            )
+            assert not value.truncated
+            assert value.at_omega(n) == direct
+
+    @given(polynomials)
+    def test_euler_maclaurin_at_multi_term_count(self, f):
+        # The width 1/(w + 1) is w^-1 - w^-2 + ..., so only its first
+        # power reaches w^-1: that coefficient is the first
+        # Euler-Maclaurin correction, (f(1) - f(0))/2.
+        value = uniform_riemann_sum(f, omega() + 1).value
+        assert value.standard_part() == f.integrate(0, 1)
+        assert value.coefficient(-1) == (f.evaluate(Fraction(1)) - f.evaluate(Fraction(0))) / 2
+
+    @pytest.mark.parametrize("f", [Polynomial(), Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x")])
+    def test_vanishing_sum_is_exact_zero(self, f):
+        # x(x - 1/2)(x - 1) is odd about 1/2 and zero at 1, so its sum
+        # vanishes at every count; no term was dropped, even at w + 1.
+        for nu in (omega(), omega() + 1):
+            value = uniform_riemann_sum(f, nu).value
+            assert not value and not value.truncated
 
     @given(polynomials, polynomials, small_rationals)
     def test_linearity(self, f, g, alpha):
@@ -156,6 +177,12 @@ class TestRemainder:
     def test_linear(self):
         remainder = riemann_remainder(X)
         assert remainder.c == Gossamer.parse("1/2*w^-1")
+        assert remainder.valid
+
+    def test_at_requested_count(self):
+        # The sum at w^2 is the sum at w with w replaced by w^2.
+        remainder = riemann_remainder(X2, omega(2))
+        assert remainder.c == Gossamer.parse("1/2*w^-2 + 1/6*w^-4")
         assert remainder.valid
 
     def test_zero_sides_rejected(self):

@@ -106,8 +106,22 @@ class TestSumFtc:
             sum_ftc(K, 11, 10)
 
     def test_non_integer_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            sum_ftc(K, Fraction(1, 2), 10)
+        for a, b in (
+            (Fraction(1, 2), 10),
+            (1, Gossamer.parse("w + 1/2")),  # infinite, but not an integer past w
+            (1, Gossamer.parse("w + w^-1")),
+            (Gossamer.parse("w^-1"), omega()),
+        ):
+            with pytest.raises(ValueError):
+                sum_ftc(K, a, b)
+            with pytest.raises(ValueError):
+                sum_ftc_half_open(K, a, b)
+
+    @given(st.integers(1, 30))
+    def test_infinite_endpoint_with_integer_finite_part(self, n):
+        # sum_{k=1}^{w+1} k at w = n is the finite sum up to n + 1.
+        value = sum_ftc(K, 1, omega() + 1).value
+        assert value.at_omega(n) == sum_interval_bruteforce(K, 1, n + 1)
 
     def test_half_open_convention(self):
         # G(b) - G(a) is the sum over a+1..b.
