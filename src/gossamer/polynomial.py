@@ -15,6 +15,7 @@ from .parsing import ParseError, match_term, split_terms
 __all__ = [
     "FtcInverseCheck",
     "IntegralIdentity",
+    "MAX_PARSE_DEGREE",
     "OrderSwap",
     "Polynomial",
     "ftc_inverse_check",
@@ -24,6 +25,11 @@ __all__ = [
 ]
 
 Operand = Union[int, float, Fraction, Gossamer]
+
+# The highest exponent Polynomial.parse accepts.  Parsing allocates one
+# coefficient per degree, and closed-form work grows fast with the degree
+# (a dense degree-100 ``riemann --nu-exp 3`` takes seconds).
+MAX_PARSE_DEGREE = 100
 
 
 def _as_operand(x):
@@ -55,7 +61,10 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
-        """Parse e.g. ``"3/2*x^2 - x + 5"``; any single letter works as the variable."""
+        """Parse e.g. ``"3/2*x^2 - x + 5"``; any single letter works as the variable.
+
+        Exponents above ``MAX_PARSE_DEGREE`` raise ParseError.
+        """
         seen_symbol = None
         terms: list[tuple[int, Fraction]] = []
         for sign, chunk, position in split_terms(text):
@@ -73,6 +82,8 @@ class Polynomial:
                 exponent = Fraction(1)
             if exponent.denominator != 1 or exponent < 0:
                 raise ParseError("polynomial exponents must be non-negative integers", position)
+            if exponent > MAX_PARSE_DEGREE:
+                raise ParseError(f"polynomial degree above {MAX_PARSE_DEGREE}", position)
             terms.append((int(exponent), sign * (coeff if coeff is not None else Fraction(1))))
         coeffs = [Fraction(0)] * (max(d for d, _ in terms) + 1)
         for degree, coefficient in terms:

@@ -65,8 +65,8 @@ def faulhaber(p: int) -> Polynomial:
     if p < 0:
         raise ValueError("p must be >= 0")
     coeffs = [Fraction(0)] * (p + 2)
-    for j in range(p + 1):
-        coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * bernoulli_number(j)
+    for j, b in enumerate(_bernoulli_row(p)):  # entry j does not depend on the row length
+        coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * b
     return Polynomial(coeffs)
 
 

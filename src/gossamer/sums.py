@@ -2,15 +2,16 @@
 
 A sum over a range factors through a single unary point function G, so
 interval sums are differences of point values, with infinite endpoints
-evaluating symbolically.
+evaluating symbolically.  The closed form is certified once, by a
+brute-force check at deg g + 2 points, never by summing the range.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
-from .core import Gossamer, Kind, RationalLike
+from .core import Gossamer
 from .polynomial import Polynomial
 from .riemann import faulhaber
 from .steps import StepFunction
@@ -21,9 +22,9 @@ __all__ = [
     "SumFtcResult",
     "indefinite_sum",
     "lower_sum_at_point",
+    "prefix_sums_match",
     "sum_at_point",
     "sum_ftc",
-    "sum_ftc_half_open",
     "sum_interval_bruteforce",
     "sum_to_integral_bridge",
 ]
@@ -71,7 +72,7 @@ def lower_sum_at_point(s: ClosedFormSum, a: Endpoint):
 
 
 def sum_interval_bruteforce(g: Polynomial, a: int, b: int) -> Fraction:
-    """Direct accumulation of sum_{k=a}^{b} g(k); the oracle for the closed forms."""
+    """Direct accumulation of sum_{k=a}^{b} g(k), in O(b - a); a test oracle."""
     if a > b:
         raise ValueError(f"empty range: {a} > {b}")
     total = Fraction(0)
@@ -80,9 +81,27 @@ def sum_interval_bruteforce(g: Polynomial, a: int, b: int) -> Fraction:
     return total
 
 
+def prefix_sums_match(g: Polynomial, point: Polynomial) -> bool:
+    """Whether point(n) = sum_{k=1}^{n} g(k) for every n, finite or infinite.
+
+    Both sides are polynomials in n of degree at most deg g + 1, so
+    agreeing at the deg g + 2 points n = 0..deg g + 1 (one running total)
+    makes them the same polynomial.
+    """
+    top = g.degree + 1
+    if point.degree > top:
+        return False
+    total = Fraction(0)
+    for n in range(top + 1):
+        if point.evaluate(Fraction(n)) != total:
+            return False
+        total += g.evaluate(Fraction(n + 1))
+    return True
+
+
 class SumFtcResult(NamedTuple):
     value: Gossamer
-    oracle_match: bool
+    closed_form: ClosedFormSum
 
 
 class SumBridge(NamedTuple):
@@ -91,54 +110,26 @@ class SumBridge(NamedTuple):
     equal: bool
 
 
-def _as_gossamer(x: Endpoint) -> Gossamer:
-    if isinstance(x, Gossamer):
-        return x
-    return Gossamer.from_rational(Fraction(x))
-
-
-def _finite_integer(x: Gossamer) -> Optional[int]:
-    """The int behind a finite endpoint, else None; w + 1 is an endpoint, w + 1/2 is not."""
-    constant = x.coefficient(0)
-    if constant.denominator != 1 or any(e < 0 for e, _ in x.terms):
+def _endpoint(x: Endpoint) -> Gossamer:
+    """x as a series: an integer plus infinite terms (w + 1 is an endpoint, w + 1/2 is not)."""
+    x = x if isinstance(x, Gossamer) else Gossamer.from_rational(Fraction(x))
+    if x.coefficient(0).denominator != 1 or any(e < 0 for e, _ in x.terms):
         raise ValueError(f"endpoint needs an integer finite part, got {x}")
-    return None if x.classify() is Kind.INFINITE else int(constant)
+    return x
 
 
 def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
-    """sum_{k=a}^{b} g(k) as a difference of point values, closed convention.
+    """sum_{k=a}^{b} g(k) = G(b) - G(a-1), both endpoints included.
 
-    Uses G(b) - G(a-1) so both endpoints are included.  Finite ranges are
-    checked against brute-force accumulation; infinite endpoints give the
-    exact symbolic value and the oracle holds vacuously.
+    Infinite endpoints give the exact symbolic value.  The sum over
+    a+1..b is G(b) - G(a), i.e. ``sum_at_point(s, b) - sum_at_point(s, a)``.
+    No oracle runs here; ``prefix_sums_match`` certifies the closed form.
     """
-    a, b = _as_gossamer(a), _as_gossamer(b)
+    a, b = _endpoint(a), _endpoint(b)
     if a.compare(b) > 0:
         raise ValueError(f"empty range: {a} > {b}")
-    ai, bi = _finite_integer(a), _finite_integer(b)
     s = indefinite_sum(g)
-    value = sum_at_point(s, b) - sum_at_point(s, a - 1)
-    if ai is not None and bi is not None:
-        match = value == sum_interval_bruteforce(g, ai, bi)
-    else:
-        match = True
-    return SumFtcResult(value, match)
-
-
-def sum_ftc_half_open(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
-    """The plain point-difference G(b) - G(a), i.e. sum_{k=a+1}^{b}."""
-    a, b = _as_gossamer(a), _as_gossamer(b)
-    if a.compare(b) > 0:
-        raise ValueError(f"empty range: {a} > {b}")
-    ai, bi = _finite_integer(a), _finite_integer(b)
-    s = indefinite_sum(g)
-    value = sum_at_point(s, b) - sum_at_point(s, a)
-    if ai is not None and bi is not None:
-        oracle = sum_interval_bruteforce(g, ai + 1, bi) if ai + 1 <= bi else Fraction(0)
-        match = value == oracle
-    else:
-        match = True
-    return SumFtcResult(value, match)
+    return SumFtcResult(sum_at_point(s, b) - sum_at_point(s, a - 1), s)
 
 
 def sum_to_integral_bridge(g: Polynomial, a: int, b: int) -> SumBridge:

@@ -1,9 +1,11 @@
 """The command-line surface: output formats, exit codes, file round-trips."""
+import hashlib
 import json
 
 import pytest
 
-from gossamer.cli import main
+from gossamer.cli import MAX_SAMPLES, main
+from gossamer.polynomial import MAX_PARSE_DEGREE
 
 HEAVYSIDE = '{"breakpoints": ["0"], "levels": ["0", "1"]}'
 
@@ -31,6 +33,14 @@ class TestRiemann:
     def test_parse_error_is_usage(self, capsys):
         assert main(["riemann", "--poly", "x^^2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_degree_limit(self, capsys):
+        assert main(["riemann", "--poly", f"x^{MAX_PARSE_DEGREE} + 1"]) == 0
+        capsys.readouterr()
+        # Rejected before the coefficient list is allocated.
+        for poly in (f"x^{MAX_PARSE_DEGREE + 1}", "x^1000000000"):
+            assert main(["riemann", "--poly", poly]) == 2
+            assert f"degree above {MAX_PARSE_DEGREE}" in capsys.readouterr().err
 
     def test_non_infinite_count_is_usage(self):
         assert main(["riemann", "--poly", "x^2", "--nu-exp", "-1"]) == 2
@@ -77,6 +87,17 @@ class TestSum:
     def test_empty_range_is_usage(self):
         assert main(["sum", "--term", "k", "--from", "5", "--to", "3"]) == 2
 
+    def test_infinite_endpoint_reports_the_prefix_sum_oracle(self, capsys):
+        assert main(["sum", "--term", "k^2", "--from", "1", "--to", "w", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["oracle"] == "brute-force prefix sums at n = 0..3"
+        assert data["match"] is True
+
+    def test_long_range_is_closed_form(self, capsys):
+        assert main(["sum", "--term", "k^2", "--from", "1", "--to", "1000000"]) == 0
+        out = capsys.readouterr().out
+        assert "value = 333333833333500000; oracle match = true" in out
+
 
 class TestSmooth:
     def test_demo_example(self, heavyside_file, capsys):
@@ -110,6 +131,14 @@ class TestSmooth:
         assert lines[0].startswith("#") and "stand-in" in lines[0]
         assert lines[1] == "x,y"
         assert len(lines) == 13
+
+    @pytest.mark.parametrize("samples", ["1", str(MAX_SAMPLES + 1)])
+    def test_samples_out_of_range_is_usage(self, samples, heavyside_file, tmp_path, capsys):
+        csv_path = tmp_path / "curve.csv"
+        argv = ["smooth", "--input", heavyside_file, "--emit-csv", str(csv_path), "--samples", samples]
+        assert main(argv) == 2
+        assert f"between 2 and {MAX_SAMPLES}" in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_logistic_requires_csv(self, heavyside_file):
         assert main(["smooth", "--input", heavyside_file, "--shape", "logistic"]) == 2
@@ -181,3 +210,59 @@ class TestEnvFloor:
         monkeypatch.setenv("GOSSAMER_TRUNC_FLOOR", "-1")
         assert main(["riemann", "--poly", "x^2"]) == 0
         assert "sum = 1/3 + 1/2*w^-1; st = 1/3" in capsys.readouterr().out
+
+
+# sha256 of the stdout of each command.  Payloads are exact, so a refactor
+# must leave every byte in place; a change that means to move one updates
+# the digest and says why.
+STAIRCASE = '{"breakpoints": ["-1", "1/2", "3"], "levels": ["0", "2", "-1/3", "5"]}'
+POLYS = ("x^2", "3*x^6 - 2*x^3 + x", "1/2*x^5 + x^4 - 7/3*x + 2")
+JSON_DIGESTS = [
+    (("riemann", "--poly", POLYS[0], "--nu-exp", "1", "--json"),
+     "e8db102f2c4b5bbafb34c97ab745df215305b7cd89426140e66d529a7da4ba1c"),
+    (("riemann", "--poly", POLYS[0], "--nu-exp", "2", "--json"),
+     "218fe034c040a796ea56c3ccc3bb1a1a4570ea939bbe3981c3d80d9ddb758582"),
+    (("riemann", "--poly", POLYS[0], "--nu-exp", "1/2", "--json"),
+     "c7ecbbbef5512363fcebfa47e057924e214cfc4c857117cb1ef35d7a7b01caf2"),
+    (("riemann", "--poly", POLYS[1], "--nu-exp", "1", "--json"),
+     "9ec4392f14add7d2c6dc64fb7b852c5f5c96bcdf8ff9331680a7e8ef12548bd8"),
+    (("riemann", "--poly", POLYS[1], "--nu-exp", "2", "--json"),
+     "305058700d7e6f22c59a77969b55d979fcf8f47e14eea6c54d9693c281e95639"),
+    (("riemann", "--poly", POLYS[1], "--nu-exp", "1/2", "--json"),
+     "b5335cfd07ab52f894dca110f71979821f68b67883401b0ab9410eb73e411e9d"),
+    (("riemann", "--poly", POLYS[2], "--nu-exp", "1", "--json"),
+     "aed7392f22b6df3c1f034dfd1ccc4f3c76cb605d9bb29952aa91b6efc0b9ff4d"),
+    (("riemann", "--poly", POLYS[2], "--nu-exp", "2", "--json"),
+     "4517abc8f7089d0cab2cc92c1fd4381d2f2e4a58f78cf3e4ca2102968a37581a"),
+    (("riemann", "--poly", POLYS[2], "--nu-exp", "1/2", "--json"),
+     "e5f30b355ca9dc281bc9ef83dbdaa47d4a9b1c9ad6616d44cf1ea64fcddab1d9"),
+    (("pipeline", "--poly", POLYS[0], "--nu-exp", "1"),
+     "5db7ee50e1f1eb620f2d1c4fdb7083e4f5171bc403116f5e73560b53e8d3125d"),
+    (("pipeline", "--poly", POLYS[1], "--nu-exp", "2"),
+     "b06b9566539b76b60fc32749aa51d7fa25574016060a5ba844c09d05170392c6"),
+    (("pipeline", "--poly", POLYS[2], "--nu-exp", "1/2"),
+     "8b96214e70dca20420065fb7196fea1d999605979a393c7e38d83cb4e41d48d2"),
+    (("ftc", "--poly", POLYS[0], "--a=0", "--x=2", "--h-exp=-1", "--json"),
+     "7d94ecc5e7417508116d7d123572f387b2963d8c9d4beeb6cb097f8e56b015ba"),
+    (("ftc", "--poly", POLYS[1], "--a=-1/2", "--x=3/4", "--h-exp=-2", "--json"),
+     "51bb4b4c01a3efa3dd72726335033bc9d337b66d13934290b51eb7ba65463d04"),
+    (("ftc", "--poly", POLYS[2], "--a=1", "--x=-5/3", "--h-exp=-1/2", "--json"),
+     "d735b0b4791d77596711fff209187d690ea5ab053d78314e1397fde643708c91"),
+    (("smooth", "--input", HEAVYSIDE, "--shape", "linear", "--eps-exp=-1", "--json"),
+     "f2d55d2488e2f9fbf011b963a643c1d29bf0ed12cfc1b946cc284c12230a92b4"),
+    (("smooth", "--input", STAIRCASE, "--shape", "cubic", "--eps-exp=-2", "--json"),
+     "c7e46dabf5a8e5a774ecad21d0510af1a4980c88b2a06cb1f4e58ab470994b6e"),
+    (("smooth", "--input", STAIRCASE, "--shape", "quintic", "--eps-exp=-1/2", "--json"),
+     "3b72ce5b7a6d2ca7b78628728ab6d6c11f8af1362d97fa5a43bc6ce111183714"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", JSON_DIGESTS)
+def test_json_payload_matches_recorded_digest(argv, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("GOSSAMER_TRUNC_FLOOR", raising=False)
+    if argv[0] == "smooth":  # the step function is passed as a file
+        path = tmp_path / "step.json"
+        path.write_text(argv[2], encoding="utf-8")
+        argv = (argv[0], argv[1], str(path), *argv[3:])
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gossamer.sums
 from gossamer import (
     ClosedFormSum,
     Gossamer,
@@ -13,9 +14,9 @@ from gossamer import (
     indefinite_sum,
     lower_sum_at_point,
     omega,
+    prefix_sums_match,
     sum_at_point,
     sum_ftc,
-    sum_ftc_half_open,
     sum_interval_bruteforce,
     sum_to_integral_bridge,
 )
@@ -90,7 +91,7 @@ class TestSumFtc:
     def test_pinned_example(self):
         result = sum_ftc(K, 3, 10)
         assert result.value == 52
-        assert result.oracle_match
+        assert prefix_sums_match(K, result.closed_form.point_function)
 
     def test_symbolic_upper_endpoint(self):
         value = sum_ftc(K2, 1, omega()).value
@@ -99,7 +100,8 @@ class TestSumFtc:
     def test_triangular_to_infinity(self):
         result = sum_ftc(K, 1, omega())
         assert result.value == Gossamer.parse("1/2*w^2 + 1/2*w")
-        assert result.oracle_match  # vacuous for infinite endpoints
+        # Certified at n = 0..2, which covers every endpoint, infinite ones too.
+        assert prefix_sums_match(K, result.closed_form.point_function)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
@@ -114,8 +116,6 @@ class TestSumFtc:
         ):
             with pytest.raises(ValueError):
                 sum_ftc(K, a, b)
-            with pytest.raises(ValueError):
-                sum_ftc_half_open(K, a, b)
 
     @given(st.integers(1, 30))
     def test_infinite_endpoint_with_integer_finite_part(self, n):
@@ -125,15 +125,14 @@ class TestSumFtc:
 
     def test_half_open_convention(self):
         # G(b) - G(a) is the sum over a+1..b.
-        result = sum_ftc_half_open(K, 3, 10)
-        assert result.value == sum_interval_bruteforce(K, 4, 10) == 49
-        assert result.oracle_match
+        s = indefinite_sum(K)
+        assert sum_at_point(s, 10) - sum_at_point(s, 3) == sum_interval_bruteforce(K, 4, 10) == 49
 
     @given(small_polys, st.integers(0, 60), st.integers(0, 60))
     def test_oracle_equivalence(self, g, a, b):
         a, b = min(a, b), max(a, b)
         result = sum_ftc(g, a, b)
-        assert result.oracle_match
+        assert prefix_sums_match(g, result.closed_form.point_function)
         assert result.value == sum_interval_bruteforce(g, a, b)
 
     @given(small_polys, st.integers(0, 40), st.integers(0, 40), st.integers(1, 30))
@@ -157,6 +156,29 @@ class TestSumFtc:
         # stand-in, reproduces the brute-force sum.
         value = sum_ftc(g, 1, omega()).value
         assert value.at_omega(n) == sum_interval_bruteforce(g, 1, n)
+
+
+class TestPrefixSumsMatch:
+    def test_rejects_a_wrong_point_function(self):
+        assert not prefix_sums_match(K, Polynomial((0, 1)))  # n, not n(n+1)/2
+
+    def test_rejects_a_degree_too_high(self):
+        # Agrees with n(n+1)/2 at n = 0, 1, 2 but has degree 3.
+        triangular = indefinite_sum(K).point_function
+        wrong = triangular + Polynomial((0, 2, -3, 1))  # + n(n-1)(n-2)
+        assert all(wrong.evaluate(n) == triangular.evaluate(n) for n in range(3))
+        assert not prefix_sums_match(K, wrong)
+
+    def test_zero_term(self):
+        assert prefix_sums_match(Polynomial(), Polynomial())
+        assert not prefix_sums_match(Polynomial(), Polynomial((0, 1)))
+
+    def test_sum_ftc_runs_no_range_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sum_ftc must not accumulate the range")
+
+        monkeypatch.setattr(gossamer.sums, "sum_interval_bruteforce", refuse)
+        assert sum_ftc(K, 1, 10**6).value == 500000500000
 
 
 class TestBridge:
