@@ -147,21 +147,26 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _partition_count(nu_exp: Fraction) -> Gossamer:
+    if nu_exp <= 0:
+        raise ValueError("--nu-exp must be positive so the partition count is infinite")
+    return omega(nu_exp)
+
+
 def _cmd_riemann(args) -> int:
     f = Polynomial.parse(args.poly)
-    if args.nu_exp <= 0:
-        raise ParseError("--nu-exp must be positive so the partition count is infinite", 0)
-    nu = omega(args.nu_exp)
+    nu = _partition_count(args.nu_exp)
     total = uniform_riemann_sum(f, nu).value
     st = total.standard_part()
+    integral = f.integrate(0, 1)
     payload = {
         "poly": f.to_text(),
         "nu": str(nu),
         "sum": str(total),
         "standard_part": str(st),
-        "integral_0_1": str(f.integrate(0, 1)),
+        "integral_0_1": str(integral),
     }
-    if total and f.integrate(0, 1):
+    if total and integral:
         remainder = riemann_remainder(f, nu)
         payload["remainder"] = str(remainder.c)
         payload["remainder_negligible"] = remainder.valid
@@ -173,13 +178,13 @@ def _cmd_riemann(args) -> int:
         "j=nu-1": panel_asymptotic(f, nu, nu - 1),
     }
     _emit(payload, args.json, [f"sum = {total}; st = {st}"])
-    return 0 if st == f.integrate(0, 1) else 1
+    return 0 if st == integral else 1
 
 
 def _cmd_ftc(args) -> int:
     f = Polynomial.parse(args.poly)
     if args.h_exp >= 0:
-        raise ParseError("--h-exp must be negative so the step is infinitesimal", 0)
+        raise ValueError("--h-exp must be negative so the step is infinitesimal")
     h = omega(args.h_exp)
     check = ftc_inverse_check(f, args.a, args.x, h)
     payload = {
@@ -238,7 +243,7 @@ def _cmd_smooth(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         step = StepFunction.from_json(fh.read())
     if args.eps_exp >= 0:
-        raise ParseError("--eps-exp must be negative so the half-width is infinitesimal", 0)
+        raise ValueError("--eps-exp must be negative so the half-width is infinitesimal")
     if step.breakpoints:
         lo = min(step.breakpoints) - 1 if args.start is None else args.start
         hi = max(step.breakpoints) + 1 if args.end is None else args.end
@@ -248,7 +253,7 @@ def _cmd_smooth(args) -> int:
 
     if args.emit_csv:
         if not 2 <= args.samples <= MAX_SAMPLES:
-            raise ParseError(f"--samples must be between 2 and {MAX_SAMPLES}", 0)
+            raise ValueError(f"--samples must be between 2 and {MAX_SAMPLES}")
         width = args.standin_width or _default_standin(step)
         xs = [float(lo) + (float(hi) - float(lo)) * i / (args.samples - 1) for i in range(args.samples)]
         ys = sample_curve(step, args.shape if args.shape == LOGISTIC_SHAPE else _SHAPE_ALIASES[args.shape], width, xs)
@@ -263,7 +268,7 @@ def _cmd_smooth(args) -> int:
 
     if args.shape == LOGISTIC_SHAPE:
         if not args.emit_csv:
-            raise ParseError("the logistic shape is sampling-only; pass --emit-csv", 0)
+            raise ValueError("the logistic shape is sampling-only; pass --emit-csv")
         print(f"wrote {args.emit_csv} (logistic shape: no exact-area claims)")
         return 0
 
@@ -296,12 +301,11 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     f = Polynomial.parse(args.poly)
-    if args.nu_exp <= 0:
-        raise ParseError("--nu-exp must be positive so the partition count is infinite", 0)
-    trace = definite_to_sum_pipeline(f, omega(args.nu_exp))
+    nu = _partition_count(args.nu_exp)
+    trace = definite_to_sum_pipeline(f, nu)
     payload = {
         "poly": f.to_text(),
-        "nu": str(omega(args.nu_exp)),
+        "nu": str(nu),
         "stages": [
             {"stage": s.stage, "expression": s.expression, "value": str(s.value)}
             for s in trace.stages
@@ -328,10 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

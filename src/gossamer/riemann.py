@@ -1,10 +1,10 @@
-"""Uniform Riemann sums evaluated in closed form at an infinite partition count.
+"""Uniform Riemann sums and scaled integrals in closed form at an infinite count.
 
 The sum over j of f(j/nu)*(1/nu) is never iterated: the power-sum
 closed forms fold it into one rational polynomial Q_f in the panel width
-1/nu (the Euler-Maclaurin form), evaluated at the infinite count's
-inverse.  The result is an exact series whose standard part, Q_f(0), is
-the integral and whose lower-order terms are the remainder.
+1/nu (the Euler-Maclaurin form), evaluated once at 1/nu; its standard
+part, Q_f(0), is the integral and its lower-order terms the remainder.
+An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
 """
 from __future__ import annotations
 
@@ -87,18 +87,14 @@ def _require_infinite(nu: Gossamer) -> None:
         raise ValueError(f"partition count must be infinite, got {nu}")
 
 
-def _inverse_power(nu: Gossamer, k: int) -> Gossamer:
-    """nu^-k, carried at a floor deep enough to hold the intermediate.
+def _inverse(nu: Gossamer) -> Gossamer:
+    """1/nu at nu's floor deepened by nu's leading exponent E.
 
-    A plain inverse of nu^k with leading exponent E would drop the
-    w^-E term whenever E exceeds the floor's depth, losing contributions
-    that the final product (with exponents back above the floor) still
-    needs.  Deepening the working floor by E preserves the inverse's
-    tail to the same relative resolution as any other value.
+    Callers lift it back up by up to E (times a panel index near nu, or nu
+    itself); the deeper floor keeps the terms that then reach nu's floor.
     """
-    power = nu ** k
-    deep = power.truncation_floor - power.leading_exponent
-    return Gossamer(power.terms, floor=deep, truncated=power.truncated).inverse()
+    deep = nu.truncation_floor - nu.leading_exponent
+    return Gossamer(nu.terms, floor=deep, truncated=nu.truncated).inverse()
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:
@@ -148,15 +144,20 @@ def riemann_remainder(f: Polynomial, nu: Optional[Gossamer] = None) -> RiemannRe
     return RiemannRemainder(c, valid)
 
 
-def _scaled_integral_zero_to_nu(f: Polynomial, nu: Gossamer) -> Gossamer:
-    # integral over [0, nu] of f(x/nu) dx, one monomial at a time
-    total = Gossamer(floor=nu.truncation_floor)
-    for degree, c in enumerate(f.coefficients):
-        if not c:
-            continue
-        piece = (nu ** (degree + 1)) * _inverse_power(nu, degree) * Fraction(c, degree + 1)
-        total = total + piece
-    return total
+def _scaled_integral(f: Polynomial, inv_nu: Gossamer, lo: Gossamer, hi: Gossamer) -> Gossamer:
+    """integral_lo^hi f(x/nu) dx = G(hi) - G(lo), G(x) = x*M(x/nu) = nu*F(x/nu).
+
+    M(y) = F(y)/y = sum_d c_d/(d+1) y^d, F the antiderivative of f, is one
+    Horner evaluation.  The endpoints sit at inv_nu's deep floor, as G lifts
+    x/nu by up to nu's leading exponent; callers realize at nu's floor.
+    """
+    mean = Polynomial(f.antiderivative().coefficients[1:])
+
+    def primitive(x: Gossamer) -> Gossamer:
+        x = Gossamer(x.terms, floor=inv_nu.truncation_floor, truncated=x.truncated)
+        return x * mean.evaluate(x * inv_nu)
+
+    return primitive(hi) - primitive(lo)
 
 
 def integrability_check(f: Polynomial, nu: Optional[Gossamer] = None) -> bool:
@@ -171,18 +172,14 @@ def integrability_check(f: Polynomial, nu: Optional[Gossamer] = None) -> bool:
 def panel_asymptotic(f: Polynomial, nu: Gossamer, j: Gossamer) -> bool:
     """Single-panel comparison: integral of f(x/nu) over [j, j+1] against f(j/nu).
 
-    Holds for infinite j but can fail for finite j, where the panel
+    The integral is nu*F(x/nu) at j+1 minus at j, F the antiderivative.
+    It holds for infinite j but can fail for finite j, where the panel
     integral and the sample have equal order yet different leading
     coefficients; report-only, never asserted globally.
     """
     _require_infinite(nu)
-    inv_nu = _inverse_power(nu, 1)
-    integral = Gossamer(floor=nu.truncation_floor)
-    for degree, c in enumerate(f.coefficients):
-        if not c:
-            continue
-        span = (j + 1) ** (degree + 1) - j ** (degree + 1)
-        integral = integral + Fraction(c, degree + 1) * span * _inverse_power(nu, degree)
+    inv_nu = _inverse(nu)
+    integral = _scaled_integral(f, inv_nu, j, j + 1).realize(nu.truncation_floor)
     sample = f.evaluate(j * inv_nu)
     if not integral or not sample:
         return integral == sample
@@ -210,9 +207,9 @@ def definite_to_sum_pipeline(f: Polynomial, nu: Optional[Gossamer] = None) -> Pi
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
-    inv_nu = _inverse_power(nu, 1)
+    inv_nu = _inverse(nu)
     plain = Gossamer.from_rational(f.integrate(0, 1), floor=nu.truncation_floor)
-    scaled = _scaled_integral_zero_to_nu(f, nu) * inv_nu
+    scaled = (_scaled_integral(f, inv_nu, Gossamer(), nu) * inv_nu).realize(nu.truncation_floor)
     total = uniform_riemann_sum(f, nu).value
     stages = (
         PipelineStage(1, "integral_0^1 f(x) dx", plain),

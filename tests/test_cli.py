@@ -10,6 +10,13 @@ from gossamer.polynomial import MAX_PARSE_DEGREE
 HEAVYSIDE = '{"breakpoints": ["0"], "levels": ["0", "1"]}'
 
 
+def option_error(capsys) -> str:
+    """stderr after an option-range usage exit, which names no parse position."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "position" not in err
+    return err
+
+
 @pytest.fixture
 def heavyside_file(tmp_path):
     path = tmp_path / "heavyside.json"
@@ -42,8 +49,9 @@ class TestRiemann:
             assert main(["riemann", "--poly", poly]) == 2
             assert f"degree above {MAX_PARSE_DEGREE}" in capsys.readouterr().err
 
-    def test_non_infinite_count_is_usage(self):
+    def test_non_infinite_count_is_usage(self, capsys):
         assert main(["riemann", "--poly", "x^2", "--nu-exp", "-1"]) == 2
+        assert option_error(capsys).startswith("error: --nu-exp must be positive")
 
     def test_remainder_at_requested_count(self, capsys):
         assert main(["riemann", "--poly", "x^2 + x", "--nu-exp", "2", "--json"]) == 0
@@ -58,8 +66,9 @@ class TestFtc:
         out = capsys.readouterr().out
         assert "quotient = 4 + 2*w^-1 + 1/3*w^-2; recovered = 4; equal = true" in out
 
-    def test_h_must_be_infinitesimal(self):
+    def test_h_must_be_infinitesimal(self, capsys):
         assert main(["ftc", "--poly", "x^2", "--x", "2", "--h-exp", "1"]) == 2
+        assert option_error(capsys).startswith("error: --h-exp must be negative")
 
 
 class TestSum:
@@ -137,11 +146,12 @@ class TestSmooth:
         csv_path = tmp_path / "curve.csv"
         argv = ["smooth", "--input", heavyside_file, "--emit-csv", str(csv_path), "--samples", samples]
         assert main(argv) == 2
-        assert f"between 2 and {MAX_SAMPLES}" in capsys.readouterr().err
+        assert f"between 2 and {MAX_SAMPLES}" in option_error(capsys)
         assert not csv_path.exists()
 
-    def test_logistic_requires_csv(self, heavyside_file):
+    def test_logistic_requires_csv(self, heavyside_file, capsys):
         assert main(["smooth", "--input", heavyside_file, "--shape", "logistic"]) == 2
+        assert option_error(capsys).startswith("error: the logistic shape is sampling-only")
 
     def test_logistic_with_csv(self, heavyside_file, tmp_path):
         csv_path = tmp_path / "s.csv"
@@ -159,8 +169,9 @@ class TestSmooth:
         bad.write_text('{"breakpoints": ["1"]}', encoding="utf-8")
         assert main(["smooth", "--input", str(bad)]) == 2
 
-    def test_positive_eps_is_usage(self, heavyside_file):
+    def test_positive_eps_is_usage(self, heavyside_file, capsys):
         assert main(["smooth", "--input", heavyside_file, "--eps-exp", "1"]) == 2
+        assert option_error(capsys).startswith("error: --eps-exp must be negative")
 
 
 class TestPipeline:
@@ -172,6 +183,11 @@ class TestPipeline:
         assert all(set(s) == {"stage", "expression", "value"} for s in stages)
         assert stages[0]["value"] == stages[1]["value"] == stages[2]["value"] == "1/3"
         assert stages[3]["value"] == "1/3 + 1/2*w^-1 + 1/6*w^-2"
+
+    @pytest.mark.parametrize("nu_exp", ["0", "-1"])
+    def test_non_infinite_count_is_usage(self, nu_exp, capsys):
+        assert main(["pipeline", "--poly", "x^2", "--nu-exp", nu_exp]) == 2
+        assert option_error(capsys).startswith("error: --nu-exp must be positive")
 
 
 class TestVerify:
@@ -217,6 +233,7 @@ class TestEnvFloor:
 # the digest and says why.
 STAIRCASE = '{"breakpoints": ["-1", "1/2", "3"], "levels": ["0", "2", "-1/3", "5"]}'
 POLYS = ("x^2", "3*x^6 - 2*x^3 + x", "1/2*x^5 + x^4 - 7/3*x + 2")
+SPARSE = ("x^40 - 3*x^17 + 1/2*x^5 + 2", "5/3*x^40 + x^33 - 7*x^2")  # terms down to w^-120, far below the floor
 JSON_DIGESTS = [
     (("riemann", "--poly", POLYS[0], "--nu-exp", "1", "--json"),
      "e8db102f2c4b5bbafb34c97ab745df215305b7cd89426140e66d529a7da4ba1c"),
@@ -254,6 +271,12 @@ JSON_DIGESTS = [
      "c7e46dabf5a8e5a774ecad21d0510af1a4980c88b2a06cb1f4e58ab470994b6e"),
     (("smooth", "--input", STAIRCASE, "--shape", "quintic", "--eps-exp=-1/2", "--json"),
      "3b72ce5b7a6d2ca7b78628728ab6d6c11f8af1362d97fa5a43bc6ce111183714"),
+    (("riemann", "--poly", SPARSE[0], "--nu-exp", "3", "--json"),
+     "3bd5a9faf574e0ef1bbf6f78ec50e209bac2fcb854c27ade92be76c99fb8a0fe"),
+    (("riemann", "--poly", SPARSE[1], "--nu-exp", "3", "--json"),
+     "8ed22ac53efd781babb09c99597ceed553d98ade1e873c5edb9a592dd5dbbc0f"),
+    (("pipeline", "--poly", SPARSE[0], "--nu-exp", "3"),
+     "7738820657ec43b981699074b503d988d79748b5567b0e5616c8146eca116474"),
 ]
 
 

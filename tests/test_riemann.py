@@ -1,4 +1,5 @@
 """Riemann engine: closed-form sums at infinity against brute-force oracles."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,23 @@ from gossamer import (
     riemann_remainder,
     uniform_riemann_sum,
 )
+from gossamer.riemann import _inverse, _scaled_integral
 from strategies import polynomials, small_rationals
 
 X = Polynomial.parse("x")
 X2 = Polynomial.parse("x^2")
 ONE = Polynomial.constant(1)
+
+# Partition counts: the canonical w, higher and fractional powers, a
+# scaled count and a multi-term count.
+COUNTS = {
+    "w": omega(),
+    "w^2": omega(2),
+    "w^3": omega(3),
+    "w^1/2": omega(Fraction(1, 2)),
+    "3w": 3 * omega(),
+    "w+1": omega() + 1,
+}
 
 
 def brute_power_sum(p: int, n: int) -> Fraction:
@@ -225,6 +238,35 @@ class TestIntegrability:
         # sample 1/nu^2: same order, different leading coefficient.
         assert not panel_asymptotic(X2, omega(), Gossamer.from_rational(1))
 
+    @pytest.mark.parametrize("nu", COUNTS.values(), ids=COUNTS.keys())
+    def test_panel_condition_at_other_counts(self, nu):
+        assert not panel_asymptotic(X2, nu, Gossamer.from_rational(1))
+        assert panel_asymptotic(X2, nu, nu * Fraction(1, 2))
+        assert panel_asymptotic(X2, nu, nu - 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_panel_integral_at_finite_stand_in(self, k):
+        # Independent oracle: at nu = w^k with deg f * k <= 16 every term of
+        # the panel integral lies above the floor, so the series evaluated
+        # at w = W must equal the exact integral of f(x/N) over [J, J+1],
+        # N = W^k, summed monomial by monomial in plain fractions.
+        rng = random.Random(k)
+        nu = omega(k)
+        for _ in range(60):
+            degree = rng.randint(0, 16 // k)
+            f = Polynomial(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree + 1))
+            for j in (Gossamer.from_rational(1), Gossamer.from_rational(5), nu * Fraction(1, 2), nu - 1):
+                integral = _scaled_integral(f, _inverse(nu), j, j + 1).realize(nu.truncation_floor)
+                assert not integral.truncated
+                for w in (10, 64):
+                    n, big_j = Fraction(w) ** k, j.at_omega(w)
+                    expected = sum(
+                        (c / (d + 1) * ((big_j + 1) ** (d + 1) - big_j ** (d + 1)) / n ** d
+                         for d, c in enumerate(f.coefficients)),
+                        Fraction(0),
+                    )
+                    assert integral.at_omega(w) == expected
+
 
 class TestPipeline:
     def test_square(self):
@@ -234,6 +276,12 @@ class TestPipeline:
         assert values[0] == values[1] == values[2] == third
         assert values[3] == Gossamer.parse("1/3 + 1/2*w^-1 + 1/6*w^-2")
         assert trace.remainder == Gossamer.parse("1/2*w^-1 + 1/6*w^-2")
+        assert trace.remainder_negligible
+
+    @pytest.mark.parametrize("nu", COUNTS.values(), ids=COUNTS.keys())
+    def test_square_at_other_counts(self, nu):
+        trace = definite_to_sum_pipeline(X2, nu)
+        assert [str(stage.value) for stage in trace.stages[:3]] == ["1/3"] * 3
         assert trace.remainder_negligible
 
     def test_constant(self):
