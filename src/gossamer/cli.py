@@ -156,7 +156,8 @@ def _partition_count(nu_exp: Fraction) -> Gossamer:
 def _cmd_riemann(args) -> int:
     f = Polynomial.parse(args.poly)
     nu = _partition_count(args.nu_exp)
-    total = uniform_riemann_sum(f, nu).value
+    riemann_sum = uniform_riemann_sum(f, nu)
+    total = riemann_sum.value
     st = total.standard_part()
     integral = f.integrate(0, 1)
     payload = {
@@ -167,7 +168,7 @@ def _cmd_riemann(args) -> int:
         "integral_0_1": str(integral),
     }
     if total and integral:
-        remainder = riemann_remainder(f, nu)
+        remainder = riemann_remainder(riemann_sum)
         payload["remainder"] = str(remainder.c)
         payload["remainder_negligible"] = remainder.valid
     # The single-panel condition sampled at a finite, a mid-range and a

@@ -7,12 +7,13 @@ infinitesimal, ``w`` the canonical infinity, and every rational embeds as
 the single term ``c*w^0``.  The ordered-field structure falls out of the
 sign of the leading term.
 
-Series are truncated below a per-value exponent floor (default -16,
-overridable per value or through the ``GOSSAMER_TRUNC_FLOOR`` environment
-variable).  Any operation that drops a term marks its result
-``truncated``, so approximation is never silent: division expands a
-geometric series and is the only operation that cannot be exact for
-multi-term inputs.
+Series are truncated below a per-value exponent floor, the ``floor=``
+of the constructor (``DEFAULT_TRUNCATION_FLOOR``, -16, when not given).
+Any operation that drops a term marks its result ``truncated``, so
+approximation is never silent: division expands a geometric series and
+is the only operation that cannot be exact for multi-term inputs.  A
+product with an exact zero factor is an exact zero, whatever the other
+factor dropped.
 
 Values are immutable after construction and all operations are pure, so
 they can be shared freely between threads.
@@ -20,7 +21,6 @@ they can be shared freely between threads.
 from __future__ import annotations
 
 import math
-import os
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -36,26 +36,12 @@ __all__ = [
     "ParseError",
     "ZeroMagnitudeError",
     "bounded_series_sum",
-    "default_floor",
     "omega",
 ]
 
 RationalLike = Union[int, Fraction]
 
 DEFAULT_TRUNCATION_FLOOR = Fraction(-16)
-
-_FLOOR_ENV = "GOSSAMER_TRUNC_FLOOR"
-
-
-def default_floor() -> Fraction:
-    """Truncation floor used when a value does not carry its own."""
-    raw = os.environ.get(_FLOOR_ENV)
-    if raw is None:
-        return DEFAULT_TRUNCATION_FLOOR
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad {_FLOOR_ENV} value {raw!r}: expected a rational") from exc
 
 
 class Kind(Enum):
@@ -95,7 +81,7 @@ class Gossamer:
         floor: Optional[RationalLike] = None,
         truncated: bool = False,
     ):
-        floor = default_floor() if floor is None else Fraction(floor)
+        floor = DEFAULT_TRUNCATION_FLOOR if floor is None else Fraction(floor)
         merged: dict[Fraction, Fraction] = {}
         for exponent, coefficient in terms:
             e = Fraction(exponent)
@@ -224,10 +210,12 @@ class Gossamer:
             for eb, cb in other.terms:
                 e = ea + eb
                 products[e] = products.get(e, Fraction(0)) + ca * cb
+        # An exact zero factor (no terms, nothing dropped) gives an exact zero.
+        exact_zero = not (self.terms or self.truncated) or not (other.terms or other.truncated)
         return Gossamer(
             products.items(),
             floor=max(self.truncation_floor, other.truncation_floor),
-            truncated=self.truncated or other.truncated,
+            truncated=not exact_zero and (self.truncated or other.truncated),
         )
 
     __rmul__ = __mul__
@@ -446,6 +434,12 @@ def omega(exponent: RationalLike = 1, floor: Optional[RationalLike] = None) -> G
     return Gossamer(((Fraction(exponent), Fraction(1)),), floor=floor)
 
 
+def _require_infinitesimal(h: Gossamer) -> None:
+    """The precondition of every infinitesimal-step operation."""
+    if h.classify() is not Kind.INFINITESIMAL:
+        raise NotInfinitesimalError(f"h must be a nonzero infinitesimal, got {h}")
+
+
 def bounded_series_sum(
     coefficients: Sequence[RationalLike], h: Gossamer, order: int
 ) -> Gossamer:
@@ -458,8 +452,7 @@ def bounded_series_sum(
     coeffs = [Fraction(c) for c in coefficients]
     if not coeffs:
         raise ValueError("coefficients must be non-empty")
-    if h.classify() is not Kind.INFINITESIMAL:
-        raise NotInfinitesimalError(f"h must be a nonzero infinitesimal, got {h}")
+    _require_infinitesimal(h)
     total = Gossamer(floor=h.truncation_floor)
     power = Gossamer.from_rational(1, floor=h.truncation_floor)
     for k in range(1, order + 1):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-from .core import Gossamer, Kind, NotInfinitesimalError, RationalLike
+from .core import Gossamer, RationalLike, _require_infinitesimal
 from .parsing import ParseError, match_term, split_terms
 
 __all__ = [
@@ -278,8 +278,7 @@ def ftc_inverse_check(
     Builds F with F(a) = 0, forms (F(x+h) - F(x))/h in exact gossamer
     arithmetic, and recovers the integrand value as the standard part.
     """
-    if h.classify() is not Kind.INFINITESIMAL:
-        raise NotInfinitesimalError(f"h must be a nonzero infinitesimal, got {h}")
+    _require_infinitesimal(h)
     x = Fraction(x)
     accumulation = p.antiderivative()
     accumulation = accumulation - Polynomial.constant(accumulation.evaluate(Fraction(a)))
@@ -295,8 +294,7 @@ def order_swap_demo(p: Polynomial, x: RationalLike, h: Gossamer) -> OrderSwap:
     partition refine first gives ``h * integral of p over [0, 1]``.  The
     two differ unless they happen to coincide.
     """
-    if h.classify() is not Kind.INFINITESIMAL:
-        raise NotInfinitesimalError(f"h must be a nonzero infinitesimal, got {h}")
+    _require_infinitesimal(h)
     h_first = h * p.evaluate(Fraction(x))
     n_first = h * p.integrate(Fraction(0), Fraction(1))
     return OrderSwap(h_first, n_first, h_first != n_first)

@@ -112,10 +112,7 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
         if c:
             for m, s in enumerate(faulhaber(degree).coefficients):
                 q[degree + 1 - m] += c * s
-    width = Polynomial(q)
-    if width.is_zero:  # Horner's h*0 would inherit the truncated flag of 1/nu
-        return UniformRiemannSum(f, nu, Gossamer(floor=nu.truncation_floor))
-    return UniformRiemannSum(f, nu, width.evaluate(nu.inverse()))
+    return UniformRiemannSum(f, nu, Polynomial(q).evaluate(nu.inverse()))
 
 
 def riemann_limit(f: Polynomial) -> Fraction:
@@ -128,15 +125,15 @@ class RiemannRemainder(NamedTuple):
     valid: bool
 
 
-def riemann_remainder(f: Polynomial, nu: Optional[Gossamer] = None) -> RiemannRemainder:
-    """The gap c between the uniform sum over nu panels and the integral over [0, 1].
+def riemann_remainder(s: UniformRiemannSum) -> RiemannRemainder:
+    """The gap c between a uniform sum and the integral of its integrand over [0, 1].
 
     Valid when c vanishes or is negligible against both sides, which is
     the decomposition behind treating the sum and the integral as
-    asymptotically equal.  nu defaults to the canonical infinite count w.
+    asymptotically equal.
     """
-    total = uniform_riemann_sum(f, nu).value
-    integral = Gossamer.from_rational(f.integrate(0, 1))
+    total = s.value
+    integral = Gossamer.from_rational(s.integrand.integrate(0, 1))
     if not total or not integral:
         raise ZeroMagnitudeError("remainder decomposition needs nonzero sum and integral")
     c = total - integral
@@ -166,7 +163,7 @@ def integrability_check(f: Polynomial, nu: Optional[Gossamer] = None) -> bool:
     They are nu times the integral and the uniform sum, and scaling by nu
     keeps leading terms, so this is the validity of the remainder.
     """
-    return riemann_remainder(f, nu).valid
+    return riemann_remainder(uniform_riemann_sum(f, nu)).valid
 
 
 def panel_asymptotic(f: Polynomial, nu: Gossamer, j: Gossamer) -> bool:

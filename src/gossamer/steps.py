@@ -21,7 +21,6 @@ from .polynomial import Polynomial
 
 __all__ = [
     "AreaDelta",
-    "Bridge",
     "BridgeShape",
     "DiscontinuityBudget",
     "LOGISTIC_SHAPE",
@@ -143,12 +142,6 @@ SHAPE_POLYNOMIALS = {
 LOGISTIC_SHAPE = "logistic"
 
 
-class Bridge(NamedTuple):
-    q: Fraction
-    y_left: Fraction
-    y_right: Fraction
-
-
 def _require_positive_infinitesimal(eps: Gossamer) -> None:
     if eps.classify() is not Kind.INFINITESIMAL or eps.compare(0) <= 0:
         raise NotInfinitesimalError(
@@ -168,10 +161,6 @@ class SmoothedFunction:
         if not isinstance(self.bridge_shape, BridgeShape):
             object.__setattr__(self, "bridge_shape", BridgeShape(self.bridge_shape))
         _require_positive_infinitesimal(self.halfwidth)
-
-    @property
-    def bridges(self) -> Tuple[Bridge, ...]:
-        return tuple(Bridge(q, lo, hi) for q, lo, hi in self.base.jumps())
 
     def value_at(self, x: Union[RationalLike, Gossamer]) -> Gossamer:
         """Exact value, including inside bridges; continuous across every boundary."""
@@ -212,8 +201,6 @@ def smoothed_area(f2: SmoothedFunction, a: RationalLike, b: RationalLike) -> Gos
     eps = f2.halfwidth
     # Exact integral of the interpolant over [0, 1]; 1/2 for all symmetric shapes.
     shape_mean = SHAPE_POLYNOMIALS[f2.bridge_shape].antiderivative().evaluate(Fraction(1))
-    if a == b:
-        return Gossamer(floor=eps.truncation_floor)
     total = Gossamer(floor=eps.truncation_floor)
     cursor: Gossamer = Gossamer.from_rational(a, floor=eps.truncation_floor)
     inner = [i for i, q in enumerate(f2.base.breakpoints) if a < q < b]
@@ -265,14 +252,15 @@ def trapezoid_discontinuity_budget(f: StepFunction, eps: Gossamer) -> Discontinu
 
 
 def transfer_to_real(f2: SmoothedFunction) -> StepFunction:
-    """Collapse every bridge to width zero, recovering the step function exactly."""
-    bridges = f2.bridges
-    if not bridges:
-        return StepFunction((), f2.base.levels)
-    return StepFunction(
-        tuple(b.q for b in bridges),
-        (bridges[0].y_left, *(b.y_right for b in bridges)),
-    )
+    """Collapse every bridge to width zero, reading each level off the smoothed curve.
+
+    Each run between bridges is sampled at one real point a standard
+    distance from every bridge (q_0 - 1, the midpoints, q_last + 1), and
+    the standard part of the curve there is the level recovered.
+    """
+    qs = f2.base.breakpoints
+    points = [qs[0] - 1, *((lo + hi) / 2 for lo, hi in zip(qs, qs[1:])), qs[-1] + 1] if qs else [0]
+    return StepFunction(qs, tuple(f2.value_at(x).standard_part() for x in points))
 
 
 def _logistic(t: float) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gossamer import (
+    DEFAULT_TRUNCATION_FLOOR,
     Gossamer,
     InfinitePartError,
     Kind,
@@ -13,7 +14,6 @@ from gossamer import (
     ParseError,
     ZeroMagnitudeError,
     bounded_series_sum,
-    default_floor,
     omega,
 )
 from strategies import exponents, gossamers, nonzero_gossamers, rationals, small_rationals
@@ -54,6 +54,22 @@ class TestMul:
         product = deep * deep  # w^-18 < default floor -16
         assert product == 0
         assert product.truncated
+
+    @pytest.mark.parametrize(
+        "product, truncated",
+        [
+            ((W + 1).inverse() * 0, False),
+            (Gossamer() * (W + 1).inverse(), False),
+            ((omega(-9) * omega(-9)) * omega(20), True),
+            (omega(-9) ** 2, True),
+        ],
+        ids=["exact-zero-right", "exact-zero-left", "truncated-zero-factor", "dropped-product"],
+    )
+    def test_zero_product_flag(self, product, truncated):
+        # An exact zero factor gives an exact zero; a truncated zero factor
+        # or a product dropped below the floor stays flagged.
+        assert product == 0
+        assert product.truncated is truncated
 
 
 class TestInverse:
@@ -226,16 +242,13 @@ class TestTextForm:
 
 
 class TestFloorHandling:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GOSSAMER_TRUNC_FLOOR", "-4")
-        assert default_floor() == -4
+    @pytest.mark.parametrize("ambient", ["-4", "not-a-rational"])
+    def test_environment_does_not_set_the_floor(self, ambient, monkeypatch):
+        # Only floor= sets a floor; a variable once read here is ignored.
+        monkeypatch.setenv("GOSSAMER_TRUNC_FLOOR", ambient)
         inv = (1 - omega(-1)).inverse()
-        assert min(e for e, _ in inv.terms) == -4
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("GOSSAMER_TRUNC_FLOOR", "not-a-rational")
-        with pytest.raises(ValueError):
-            default_floor()
+        assert inv.truncation_floor == DEFAULT_TRUNCATION_FLOOR
+        assert min(e for e, _ in inv.terms) == DEFAULT_TRUNCATION_FLOOR
 
     def test_add_takes_max_floor(self):
         a = Gossamer.from_rational(1, floor=-20)

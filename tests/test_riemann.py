@@ -136,6 +136,12 @@ class TestUniformSum:
             value = uniform_riemann_sum(f, nu).value
             assert not value and not value.truncated
 
+    def test_constant_sum_is_exact(self):
+        # f = 5 sums to 5 at every count; 1/nu is truncated at w + 1, but
+        # Horner's seed 1/nu * 0 is an exact zero, so nothing is flagged.
+        value = uniform_riemann_sum(Polynomial.constant(5), omega() + 1).value
+        assert value == 5 and not value.truncated
+
     @given(polynomials, polynomials, small_rationals)
     def test_linearity(self, f, g, alpha):
         combined = uniform_riemann_sum(alpha * f + g).value
@@ -178,37 +184,37 @@ class TestRiemannLimit:
 
 class TestRemainder:
     def test_square(self):
-        remainder = riemann_remainder(X2)
+        remainder = riemann_remainder(uniform_riemann_sum(X2))
         assert remainder.c == Gossamer.parse("1/2*w^-1 + 1/6*w^-2")
         assert remainder.valid
 
     def test_constant(self):
-        remainder = riemann_remainder(ONE)
+        remainder = riemann_remainder(uniform_riemann_sum(ONE))
         assert remainder.c == 0
         assert remainder.valid
 
     def test_linear(self):
-        remainder = riemann_remainder(X)
+        remainder = riemann_remainder(uniform_riemann_sum(X))
         assert remainder.c == Gossamer.parse("1/2*w^-1")
         assert remainder.valid
 
     def test_at_requested_count(self):
         # The sum at w^2 is the sum at w with w replaced by w^2.
-        remainder = riemann_remainder(X2, omega(2))
+        remainder = riemann_remainder(uniform_riemann_sum(X2, omega(2)))
         assert remainder.c == Gossamer.parse("1/2*w^-2 + 1/6*w^-4")
         assert remainder.valid
 
     def test_zero_sides_rejected(self):
         with pytest.raises(ZeroMagnitudeError):
-            riemann_remainder(Polynomial())
+            riemann_remainder(uniform_riemann_sum(Polynomial()))
         with pytest.raises(ZeroMagnitudeError):
-            riemann_remainder(Polynomial.parse("x - 1/2"))  # integral vanishes
+            riemann_remainder(uniform_riemann_sum(Polynomial.parse("x - 1/2")))  # integral vanishes
 
     @given(polynomials)
     def test_remainder_is_first_order(self, f):
         if f.is_zero or f.integrate(0, 1) == 0:
             return
-        remainder = riemann_remainder(f)
+        remainder = riemann_remainder(uniform_riemann_sum(f))
         assert remainder.valid
         if remainder.c:
             assert remainder.c.leading_exponent <= -1

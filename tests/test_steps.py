@@ -1,4 +1,5 @@
 """Step functions, infinitesimal bridges, and exact area accounting."""
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from gossamer import (
     BridgeShape,
     Gossamer,
     NotInfinitesimalError,
+    SmoothedFunction,
     StepFunction,
     area_delta,
     iverson_step,
@@ -213,6 +215,19 @@ class TestTransfer:
         recovered = transfer_to_real(smooth(pi, "cubic_smoothstep", omega(-2)))
         assert recovered == pi
         assert recovered.area(0, 10) == 23
+
+    @pytest.mark.parametrize("run", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_wrong_level_fails_the_round_trip(self, run, monkeypatch):
+        # The levels are read off the smoothed curve, so a curve that misses
+        # the level of any one run cannot pass.
+        step = StepFunction((1, 2, 3, 4), (0, 1, 3, 2, 5))
+        exact = SmoothedFunction.value_at
+
+        def skewed(self, x):
+            return exact(self, x) + int(bisect_left(step.breakpoints, Fraction(x)) == run)
+
+        monkeypatch.setattr(SmoothedFunction, "value_at", skewed)
+        assert transfer_to_real(smooth(step, "linear", EPS)) != step
 
 
 class TestJson:
