@@ -7,6 +7,11 @@ infinitesimal, ``w`` the canonical infinity, and every rational embeds as
 the single term ``c*w^0``.  The ordered-field structure falls out of the
 sign of the leading term.
 
+Integral exponents are stored as ``int`` and fractional ones as
+``Fraction``; the two compare and hash alike, so this shows only in
+speed.  The constructor is the one normaliser of outside input:
+arithmetic results are already normalised and skip it.
+
 Series are truncated below a per-value exponent floor, the ``floor=``
 of the constructor (``DEFAULT_TRUNCATION_FLOOR``, -16, when not given).
 Any operation that drops a term marks its result ``truncated``, so
@@ -40,6 +45,7 @@ __all__ = [
 ]
 
 RationalLike = Union[int, Fraction]
+Exponent = Union[int, Fraction]  # int exactly when integral
 
 DEFAULT_TRUNCATION_FLOOR = Fraction(-16)
 
@@ -82,32 +88,32 @@ class Gossamer:
         truncated: bool = False,
     ):
         floor = DEFAULT_TRUNCATION_FLOOR if floor is None else Fraction(floor)
-        merged: dict[Fraction, Fraction] = {}
+        merged: dict = {}
         for exponent, coefficient in terms:
-            e = Fraction(exponent)
-            c = Fraction(coefficient)
+            c = coefficient if type(coefficient) is Fraction else Fraction(coefficient)
             if not c:
                 continue
-            merged[e] = merged.get(e, Fraction(0)) + c
-        kept = []
-        dropped = False
-        for e in sorted(merged, reverse=True):
-            c = merged[e]
-            if not c:
-                continue
-            if e < floor:
-                dropped = True
-                continue
-            kept.append((e, c))
-        self.terms: Tuple[Tuple[Fraction, Fraction], ...] = tuple(kept)
+            e = exponent if type(exponent) is int else Fraction(exponent)
+            merged[e] = merged[e] + c if e in merged else c
+        kept, dropped = _normalise(merged, floor)
+        self.terms: Tuple[Tuple[Exponent, Fraction], ...] = kept
         self.truncation_floor = floor
         self.truncated = bool(truncated or dropped)
+
+    @classmethod
+    def _make(cls, terms: tuple, floor: Fraction, truncated: bool) -> "Gossamer":
+        """Wrap terms that are already normalised for ``floor``, unchecked."""
+        value = object.__new__(cls)
+        value.terms = terms
+        value.truncation_floor = floor
+        value.truncated = truncated
+        return value
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: RationalLike, floor: Optional[RationalLike] = None) -> "Gossamer":
-        return cls(((Fraction(0), Fraction(value)),), floor=floor)
+        return cls(((0, value),), floor=floor)
 
     @classmethod
     def parse(cls, text: str, floor: Optional[RationalLike] = None) -> "Gossamer":
@@ -128,7 +134,7 @@ class Gossamer:
     # -- structure ---------------------------------------------------
 
     @property
-    def leading_exponent(self) -> Fraction:
+    def leading_exponent(self) -> Exponent:
         if not self.terms:
             raise ZeroMagnitudeError("zero has no leading term")
         return self.terms[0][0]
@@ -165,7 +171,12 @@ class Gossamer:
         if isinstance(other, Gossamer):
             return other
         if isinstance(other, (int, Fraction)):
-            return Gossamer(((Fraction(0), Fraction(other)),), floor=self.truncation_floor)
+            floor = self.truncation_floor
+            if not other:
+                return Gossamer._make((), floor, False)
+            if floor > 0:
+                return Gossamer._make((), floor, True)
+            return Gossamer._make(((0, Fraction(other)),), floor, False)
         return None
 
     # -- arithmetic --------------------------------------------------
@@ -174,19 +185,46 @@ class Gossamer:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Gossamer(
-            self.terms + other.terms,
-            floor=max(self.truncation_floor, other.truncation_floor),
-            truncated=self.truncated or other.truncated,
-        )
+        a, b = self.terms, other.terms
+        # Both term tuples descend: merge them in one pass.
+        merged = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, eb = a[i][0], b[j][0]
+            if ea > eb:
+                merged.append(a[i])
+                i += 1
+            elif eb > ea:
+                merged.append(b[j])
+                j += 1
+            else:
+                c = a[i][1] + b[j][1]
+                if c:
+                    merged.append((ea, c))
+                i += 1
+                j += 1
+        merged.extend(a[i:])
+        merged.extend(b[j:])
+        fa, fb = self.truncation_floor, other.truncation_floor
+        truncated = self.truncated or other.truncated
+        floor = fa
+        if fa is not fb:
+            # Only the operand with the lower floor can reach below the
+            # higher one, so the terms there never cancel and always count.
+            floor = max(fa, fb)
+            kept = len(merged)
+            while kept and merged[kept - 1][0] < floor:
+                kept -= 1
+            if kept < len(merged):
+                truncated = True
+                del merged[kept:]
+        return Gossamer._make(tuple(merged), floor, truncated)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Gossamer":
-        return Gossamer(
-            tuple((e, -c) for e, c in self.terms),
-            floor=self.truncation_floor,
-            truncated=self.truncated,
+        return Gossamer._make(
+            tuple([(e, -c) for e, c in self.terms]), self.truncation_floor, self.truncated
         )
 
     def __sub__(self, other) -> "Gossamer":
@@ -205,18 +243,20 @@ class Gossamer:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        products: dict[Fraction, Fraction] = {}
+        products: dict = {}
         for ea, ca in self.terms:
             for eb, cb in other.terms:
                 e = ea + eb
-                products[e] = products.get(e, Fraction(0)) + ca * cb
+                if e in products:
+                    products[e] += ca * cb
+                else:
+                    products[e] = ca * cb
+        floor = max(self.truncation_floor, other.truncation_floor)
+        terms, dropped = _normalise(products, floor)
         # An exact zero factor (no terms, nothing dropped) gives an exact zero.
         exact_zero = not (self.terms or self.truncated) or not (other.terms or other.truncated)
-        return Gossamer(
-            products.items(),
-            floor=max(self.truncation_floor, other.truncation_floor),
-            truncated=not exact_zero and (self.truncated or other.truncated),
-        )
+        truncated = dropped or (not exact_zero and (self.truncated or other.truncated))
+        return Gossamer._make(terms, floor, truncated)
 
     __rmul__ = __mul__
 
@@ -238,7 +278,7 @@ class Gossamer:
         if isinstance(exponent, int):
             if exponent < 0:
                 return (self ** (-exponent)).inverse()
-            result = Gossamer(((Fraction(0), Fraction(1)),), floor=self.truncation_floor)
+            result = self._coerce(1)
             base, n = self, exponent
             while n:
                 if n & 1:
@@ -250,7 +290,7 @@ class Gossamer:
         exponent = Fraction(exponent)
         if len(self.terms) == 1 and self.terms[0][1] == 1:
             return Gossamer(
-                ((self.terms[0][0] * exponent, Fraction(1)),),
+                ((self.terms[0][0] * exponent, 1),),
                 floor=self.truncation_floor,
                 truncated=self.truncated,
             )
@@ -294,7 +334,7 @@ class Gossamer:
         if order is None:
             gap = u.terms[0][0]  # < 0: the slowest-decaying part of u
             order = max(0, math.floor(floor_rel / gap))
-        geometric = Gossamer(((Fraction(0), Fraction(1)),), floor=floor_rel)
+        geometric = Gossamer(((0, 1),), floor=floor_rel)
         power = geometric
         minus_u = -u
         for _ in range(order):
@@ -350,11 +390,11 @@ class Gossamer:
     def realize(self, floor: RationalLike) -> "Gossamer":
         """Truncate terms below ``floor`` (the transfer map for floor 0)."""
         floor = Fraction(floor)
-        kept = tuple((e, c) for e, c in self.terms if e >= floor)
-        return Gossamer(
+        kept = tuple([(e, c) for e, c in self.terms if e >= floor])
+        return Gossamer._make(
             kept,
-            floor=max(self.truncation_floor, floor),
-            truncated=self.truncated or len(kept) != len(self.terms),
+            max(self.truncation_floor, floor),
+            self.truncated or len(kept) != len(self.terms),
         )
 
     def at_omega(self, value: RationalLike) -> Fraction:
@@ -420,7 +460,28 @@ class Gossamer:
         return f"Gossamer({self.to_text()!r}{flags})"
 
 
-def _term_body(coefficient: Fraction, exponent: Fraction) -> str:
+def _normalise(merged: dict, floor: Fraction) -> Tuple[tuple, bool]:
+    """Descending ``(exponent, coefficient)`` terms of ``merged`` at or above ``floor``.
+
+    Zero coefficients drop silently; the flag says whether a nonzero one
+    fell below the floor.  An integral exponent comes out as an ``int``.
+    """
+    kept = []
+    dropped = False
+    for e in sorted(merged, reverse=True):
+        c = merged[e]
+        if not c:
+            continue
+        if e < floor:
+            dropped = True  # and so is every later, lower exponent
+            break
+        if type(e) is not int and e.denominator == 1:
+            e = e.numerator
+        kept.append((e, c))
+    return tuple(kept), dropped
+
+
+def _term_body(coefficient: Fraction, exponent: Exponent) -> str:
     if exponent == 0:
         return str(coefficient)
     unit = "w" if exponent == 1 else f"w^{exponent}"
@@ -431,7 +492,7 @@ def _term_body(coefficient: Fraction, exponent: Fraction) -> str:
 
 def omega(exponent: RationalLike = 1, floor: Optional[RationalLike] = None) -> Gossamer:
     """The infinite unit ``w`` raised to a rational power (``omega(-1)`` is 1/w)."""
-    return Gossamer(((Fraction(exponent), Fraction(1)),), floor=floor)
+    return Gossamer(((exponent, 1),), floor=floor)
 
 
 def _require_infinitesimal(h: Gossamer) -> None:

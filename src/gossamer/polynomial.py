@@ -6,10 +6,11 @@ increment and differentiated exactly.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-from .core import Gossamer, RationalLike, _require_infinitesimal
+from .core import Gossamer, Kind, RationalLike, _require_infinitesimal
 from .parsing import ParseError, match_term, split_terms
 
 __all__ = [
@@ -48,6 +49,15 @@ class Polynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+
+    @classmethod
+    def _make(cls, coeffs: list) -> "Polynomial":
+        """Wrap a list of ``Fraction`` coefficients, only stripping trailing zeros."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        value = object.__new__(cls)
+        value.coefficients = tuple(coeffs)
+        return value
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
@@ -99,11 +109,27 @@ class Polynomial:
         return not self.coefficients
 
     def evaluate(self, x: Operand):
-        """Horner evaluation; the result type follows the argument type."""
+        """Horner evaluation; the result type follows the argument type.
+
+        For an infinitesimal series x with leading exponent e < 0, every
+        term of x^i lies at or below i*e, so no coefficient above degree
+        floor(x.truncation_floor / e) reaches x's floor.  The loop starts
+        there, from a truncated zero when it skips a nonzero coefficient.
+        """
         x = _as_operand(x)
+        coeffs = self.coefficients
         acc = x * 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
+        if isinstance(x, Gossamer) and x.classify() is Kind.INFINITESIMAL:
+            reach = math.floor(x.truncation_floor / x.leading_exponent)
+            if any(coeffs[reach + 1 :]):
+                acc = Gossamer(floor=x.truncation_floor, truncated=True)
+                coeffs = coeffs[: reach + 1]
+        # A float sum keeps every ``+ c``: (-0.0) + 0 is 0.0.
+        keep_zeros = isinstance(x, float)
+        for c in reversed(coeffs):
+            acc = acc * x
+            if c or keep_zeros:
+                acc = acc + c
         return acc
 
     def derivative(self) -> "Polynomial":
@@ -142,12 +168,12 @@ class Polynomial:
         merged = list(a)
         for i, c in enumerate(b):
             merged[i] += c
-        return Polynomial(merged)
+        return Polynomial._make(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coefficients)
+        return Polynomial._make([-c for c in self.coefficients])
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -169,9 +195,10 @@ class Polynomial:
             return Polynomial()
         out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial(out)
+            if a:
+                for j, b in enumerate(other.coefficients):
+                    out[i + j] += a * b
+        return Polynomial._make(out)
 
     __rmul__ = __mul__
 

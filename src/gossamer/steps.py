@@ -167,16 +167,16 @@ class SmoothedFunction:
         if not isinstance(x, Gossamer):
             x = Gossamer.from_rational(Fraction(x), floor=self.halfwidth.truncation_floor)
         eps = self.halfwidth
-        shape = SHAPE_POLYNOMIALS[self.bridge_shape]
-        for i, q in enumerate(self.base.breakpoints):
-            lower = q - eps
-            if x.compare(lower) <= 0:
-                return Gossamer.from_rational(self.base.levels[i], floor=eps.truncation_floor)
-            if x.compare(q + eps) <= 0:
+        breakpoints, levels = self.base.breakpoints, self.base.levels
+        # Bridges are disjoint and sorted: x lies past every bridge before i.
+        i = bisect_left(breakpoints, x, key=lambda q: q + eps)
+        if i < len(breakpoints):
+            lower = breakpoints[i] - eps
+            if x.compare(lower) > 0:
                 t = (x - lower) / (2 * eps)
-                rise = self.base.levels[i + 1] - self.base.levels[i]
-                return self.base.levels[i] + rise * shape.evaluate(t)
-        return Gossamer.from_rational(self.base.levels[-1], floor=eps.truncation_floor)
+                rise = levels[i + 1] - levels[i]
+                return levels[i] + rise * SHAPE_POLYNOMIALS[self.bridge_shape].evaluate(t)
+        return Gossamer.from_rational(levels[i], floor=eps.truncation_floor)
 
 
 def smooth(

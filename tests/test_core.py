@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossamer import (
@@ -261,6 +261,52 @@ class TestFloorHandling:
         assert shallow.truncated
 
 
+class TestStoredExponents:
+    def test_integral_exponent_is_int(self):
+        assert type(omega(2).terms[0][0]) is int
+        assert type(g("3*w^2 + w^-1").terms[1][0]) is int
+
+    def test_fractional_exponent_stays_fraction(self):
+        assert omega(Fraction(1, 2)).terms[0][0] == Fraction(1, 2)
+        assert type(omega(Fraction(1, 2)).terms[0][0]) is Fraction
+
+    def test_integral_sum_of_fractions_is_int(self):
+        root = omega(Fraction(1, 2))
+        assert type((root * root).terms[0][0]) is int
+        assert root * root == W
+
+    def test_hash_and_eq_match_fraction_exponents(self):
+        value = Gossamer(((Fraction(2), Fraction(3)), (Fraction(-1), Fraction(1))))
+        pairs = ((Fraction(2), Fraction(3)), (Fraction(-1), Fraction(1)))
+        assert value.terms == pairs
+        assert hash(value) == hash(g("3*w^2 + w^-1")) == hash(pairs)
+        assert value == g("3*w^2 + w^-1")
+
+
+class TestCancellationFlag:
+    def test_constructor_cancellation_below_floor_is_exact(self):
+        value = Gossamer(((0, 1), (-20, 5), (-20, -5)))
+        assert value == 1
+        assert not value.truncated
+
+    def test_add_cancellation_is_exact(self):
+        deep = omega(-20, floor=-30)
+        total = (1 + deep) + (-deep)
+        assert total == 1
+        assert not total.truncated
+
+    def test_add_drops_below_the_higher_floor(self):
+        total = (1 + omega(-20, floor=-30)) + omega(-1)
+        assert total == 1 + H
+        assert total.truncation_floor == DEFAULT_TRUNCATION_FLOOR
+        assert total.truncated
+
+    def test_mul_cancellation_is_exact(self):
+        product = (W + 1) * (W - 1)
+        assert product == g("w^2 - 1")
+        assert not product.truncated
+
+
 # -- invariants -------------------------------------------------------------
 
 
@@ -349,3 +395,84 @@ def test_realize_keeps_only_high_terms(a, floor):
     realized = a.realize(floor)
     assert all(e >= floor for e, _ in realized.terms)
     assert all(c == a.coefficient(e) for e, c in realized.terms)
+
+
+# Kernel results against the general constructor: random floors (positive
+# ones included), fractional exponents, and truncated inputs.
+kernel_floors = st.one_of(
+    st.none(), st.fractions(min_value=-20, max_value=2, max_denominator=2)
+)
+kernel_gossamers = st.builds(
+    Gossamer,
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.integers(min_value=-40, max_value=8).map(lambda n: Fraction(n, 2)),
+                st.fractions(min_value=-24, max_value=6, max_denominator=3),
+            ),
+            st.integers(min_value=-3, max_value=3).map(Fraction),
+        ),
+        max_size=5,
+    ),
+    floor=kernel_floors,
+    truncated=st.booleans(),
+)
+
+
+def shape(value):
+    assert all(type(e) is int for e, _ in value.terms if Fraction(e).denominator == 1)
+    terms = [(Fraction(e), c) for e, c in value.terms]
+    return terms, value.truncation_floor, value.truncated
+
+
+def reference_product(a, b):
+    exact_zero = not (a.terms or a.truncated) or not (b.terms or b.truncated)
+    return Gossamer(
+        [(ea + eb, ca * cb) for ea, ca in a.terms for eb, cb in b.terms],
+        floor=max(a.truncation_floor, b.truncation_floor),
+        truncated=not exact_zero and (a.truncated or b.truncated),
+    )
+
+
+def check_kernel(a, b, scalar, level):
+    floor = max(a.truncation_floor, b.truncation_floor)
+    flag = a.truncated or b.truncated
+    assert shape(a + b) == shape(Gossamer(a.terms + b.terms, floor=floor, truncated=flag))
+    assert shape(a * b) == shape(reference_product(a, b))
+    assert shape(-a) == shape(
+        Gossamer([(e, -c) for e, c in a.terms], floor=a.truncation_floor, truncated=a.truncated)
+    )
+    assert shape(a.realize(level)) == shape(
+        Gossamer(a.terms, floor=max(a.truncation_floor, level), truncated=a.truncated)
+    )
+    constant = Gossamer(((0, scalar),), floor=a.truncation_floor)
+    assert shape(a + scalar) == shape(a + constant)
+    assert shape(a * scalar) == shape(reference_product(a, constant))
+
+
+@settings(max_examples=300)
+@given(
+    kernel_gossamers,
+    kernel_gossamers,
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    st.fractions(min_value=-20, max_value=2, max_denominator=2),
+)
+def test_kernel_matches_general_constructor(a, b, scalar, level):
+    check_kernel(a, b, scalar, level)
+    check_kernel(b, a, scalar, level)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Gossamer(), Gossamer.parse("w^-1 + w^-3")),
+        (Gossamer(truncated=True), Gossamer.parse("w^-1 + w^-3")),
+        (omega(-9) ** 2, W + 1),
+        (Gossamer.parse("w^-8 + w^-9"), Gossamer.parse("w^-8 - w^-9")),
+        (1 + omega(-20, floor=-30), -omega(-20, floor=-30)),
+    ],
+    ids=["exact-zero", "truncated-zero", "dropped-zero", "product-below-floor", "cancel-deep"],
+)
+def test_kernel_zero_and_cancel_cases(a, b):
+    check_kernel(a, b, Fraction(1, 2), Fraction(-3))
+    check_kernel(b, a, Fraction(1, 2), Fraction(-3))

@@ -1,4 +1,5 @@
 """Polynomial calculus: pinned examples plus the FTC-family invariants."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,41 @@ class TestEvaluate:
 
     def test_infinite_argument(self):
         assert Polynomial.parse("x^2 + 1").evaluate(omega()) == Gossamer.parse("w^2 + 1")
+
+    def test_float_sum_keeps_the_zero_constant(self):
+        # (-1.0)**2 + (-1.0) is -0.0 before the constant 0 is added.
+        value = Polynomial.parse("x^2 + x").evaluate(-1.0)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+
+
+# Infinitesimal arguments and the degree floor(floor / e) their powers reach.
+HORNER_ARGUMENTS = {
+    "w^-1": (omega(-1), 16),
+    "w^-1/2": (omega(Fraction(-1, 2)), 32),
+    "1/(w+1)": ((omega() + 1).inverse(), 16),
+}
+HORNER_SHAPES = {
+    "above-reach": lambda r: {r + 1: 2, 3: Fraction(-1, 2), 0: 1},
+    "far-above-reach": lambda r: {3 * r: 5, r + 4: -1, 1: 1},
+    "reach-is-degree": lambda r: {r: 3, 1: 1},
+    "all-zero-top": lambda r: {r - 1: Fraction(2, 3), 2: -1},
+    "only-above-reach": lambda r: {2 * r: 1, r + 1: -4},
+}
+
+
+@pytest.mark.parametrize("shape", HORNER_SHAPES)
+@pytest.mark.parametrize("argument", HORNER_ARGUMENTS)
+def test_evaluate_matches_naive_power_sum(argument, shape):
+    x, reach = HORNER_ARGUMENTS[argument]
+    assert math.floor(x.truncation_floor / x.leading_exponent) == reach
+    coeffs = HORNER_SHAPES[shape](reach)
+    p = Polynomial([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
+    naive = sum((c * x**i for i, c in enumerate(p.coefficients)), Gossamer(floor=x.truncation_floor))
+    naive = naive.realize(x.truncation_floor)
+    value = p.evaluate(x)
+    assert value.terms == naive.terms
+    assert value.truncated is naive.truncated
 
 
 class TestDerivative:
