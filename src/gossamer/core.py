@@ -402,8 +402,11 @@ class Gossamer:
 
         Useful as an oracle: closed forms derived at infinity must agree
         with direct computation at any finite substitute.  Requires
-        integer exponents.
+        integer exponents and an untruncated value: the dropped terms
+        would count at a finite stand-in.
         """
+        if self.truncated:
+            raise ValueError(f"cannot evaluate the truncated value {self} at a stand-in")
         v = Fraction(value)
         total = Fraction(0)
         for e, c in self.terms:
@@ -421,6 +424,8 @@ class Gossamer:
         return self.terms == coerced.terms
 
     def __hash__(self) -> int:
+        if all(e == 0 for e, _ in self.terms):  # zero or a constant: hash as that rational
+            return hash(self.coefficient(0))
         return hash(self.terms)
 
     def __lt__(self, other) -> bool:

@@ -224,6 +224,8 @@ class Polynomial:
         return self.coefficients == coerced.coefficients
 
     def __hash__(self) -> int:
+        if len(self.coefficients) <= 1:  # zero or a constant: hash as that rational
+            return hash(sum(self.coefficients))
         return hash(self.coefficients)
 
     # -- rendering ------------------------------------------------------

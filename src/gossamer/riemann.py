@@ -5,6 +5,7 @@ closed forms fold it into one rational polynomial Q_f in the panel width
 1/nu (the Euler-Maclaurin form), evaluated once at 1/nu; its standard
 part, Q_f(0), is the integral and its lower-order terms the remainder.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
+A finite count n reads the same series at w = n.
 """
 from __future__ import annotations
 
@@ -234,32 +235,31 @@ def divergent_integral_via_sum(p: int, n_symbol: Gossamer) -> Gossamer:
 
 
 class ConjectureProbe(NamedTuple):
-    uniform_value: float
-    tagged_value: float
-    gap: float
+    uniform_value: Fraction
+    tagged_value: Fraction
+    gap: Fraction
 
 
 def conjecture_probe(
     f: Polynomial, partition: Sequence[RationalLike], n: int
 ) -> ConjectureProbe:
-    """Float comparison of the uniform n-panel sum against a refined non-uniform sum.
+    """Exact uniform n-panel sum against n panels on each piece of a partition.
 
-    Purely empirical evidence for the two sums converging together;
-    reported, never asserted.
+    The refined sum is the uniform sum of sum_pieces (hi - lo)*f(lo + (hi - lo)y),
+    and each is its closed form read at w = n.  Reported, never asserted.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     cuts = [Fraction(q) for q in partition]
     for prev, cur in zip(cuts, cuts[1:]):
         if cur <= prev:
             raise ValueError("partition must be strictly increasing")
     if cuts and (cuts[0] <= 0 or cuts[-1] >= 1):
         raise ValueError("partition points must lie strictly inside (0, 1)")
-    uniform = math.fsum(f.evaluate(j / n) for j in range(1, n + 1)) / n
-    edges = [0.0] + [float(q) for q in cuts] + [1.0]
-    pieces = []
-    for lo, hi in zip(edges, edges[1:]):
-        width = (hi - lo) / n
-        pieces.extend(f.evaluate(lo + i * width) * width for i in range(1, n + 1))
-    tagged = math.fsum(pieces)
+    refined = sum(
+        (hi - lo) * f.compose(Polynomial((lo, hi - lo)))
+        for lo, hi in zip([0] + cuts, cuts + [1])
+    )
+    nu = omega(floor=-max(f.degree, 1))  # Q_f has degree <= deg f in 1/nu: no term drops
+    uniform, tagged = (uniform_riemann_sum(g, nu).value.at_omega(n) for g in (f, refined))
     return ConjectureProbe(uniform, tagged, abs(uniform - tagged))

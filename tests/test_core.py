@@ -283,6 +283,23 @@ class TestStoredExponents:
         assert value == g("3*w^2 + w^-1")
 
 
+class TestRationalValues:
+    def test_hash_agrees_with_eq_for_rationals(self):
+        assert len({Gossamer.from_rational(5), 5}) == 1
+        assert len({Gossamer(), Gossamer.from_rational(0), 0, Fraction(0)}) == 1
+        assert hash(g("-7/3")) == hash(Fraction(-7, 3))
+        assert hash(g("3/2*w^-1")) != hash(Fraction(3, 2))
+
+    def test_at_omega_refuses_a_truncated_value(self):
+        # 1/(w + 1) keeps w^-1 - w^-2 + ... down to the floor; at w = 2 the
+        # dropped tail would count, so the answer would not be 1/3.
+        with pytest.raises(ValueError):
+            (W + 1).inverse().at_omega(2)
+        assert (W + 1).at_omega(2) == 3
+        assert W.inverse().at_omega(2) == Fraction(1, 2)
+        assert g("w^-1 - w^-2").at_omega(2) == Fraction(1, 4)
+
+
 class TestCancellationFlag:
     def test_constructor_cancellation_below_floor_is_exact(self):
         value = Gossamer(((0, 1), (-20, 5), (-20, -5)))

@@ -181,6 +181,13 @@ class TestOrderSwap:
         assert not swap.differ
 
 
+def test_hash_agrees_with_eq_for_constants():
+    assert len({Polynomial.constant(5), 5}) == 1
+    assert len({Polynomial(), Polynomial.constant(0), 0, Fraction(0)}) == 1
+    assert hash(Polynomial.constant(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert hash(X2) == hash(X2.coefficients)
+
+
 class TestTextForm:
     def test_round_trip(self):
         text = "3/2*x^2 - x + 5"

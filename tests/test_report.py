@@ -47,7 +47,7 @@ class TestRunSuite:
 # one updates the digest and says why.
 REPORT_DIGESTS = {
     "gossamer-axioms": "4efcbdb65b9dcf1f7971e9c1fdd783b54646f31ad000709164112a93cb44f6eb",
-    "riemann": "8e4f2455c72ca36f0b7bf09827d8c52e2e6183d636ff2726b97519ecdd0ec390",
+    "riemann": "fda90f1a35a31c3f920021d2575d7aec1b4d255df96187fa442d0c9034ccd5ac",
     "ftc": "7ed53209a3c1e34e22752f37195a8e449b8a8030f0890ac1963bfd81140718de",
     "sum-ftc": "65b28a008366e2b7f5757f37aa11e5ddbcd145b4bac71d68dce286a664c8e3aa",
     "smoothing": "1c6452c56922660b49b90e84889bb6b0c93b38e92fb1a6223f7fa6784587611a",

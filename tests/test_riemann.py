@@ -20,6 +20,7 @@ from gossamer import (
     panel_asymptotic,
     riemann_limit,
     riemann_remainder,
+    run_suite,
     uniform_riemann_sum,
 )
 from gossamer.riemann import _inverse, _scaled_integral
@@ -352,3 +353,35 @@ class TestConjectureProbe:
             conjecture_probe(X2, [Fraction(3, 2)], 8)
         with pytest.raises(ValueError):
             conjecture_probe(X2, [], 0)
+
+    # A sparse degree-20 f: at the default floor, -16, its Q_f would drop terms.
+    @pytest.mark.parametrize("f", [X2, Polynomial.parse("x^20 - 3/2*x^13 + 5*x^2 - 1")])
+    @pytest.mark.parametrize(
+        "partition", [[], [Fraction(2, 5)], [Fraction(1, 3), Fraction(1, 2), Fraction(7, 8)]]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_exact_probe_matches_fraction_sums(self, f, partition, n):
+        def riemann(lo, hi):
+            width = (hi - lo) / n
+            return sum((f.evaluate(lo + i * width) * width for i in range(1, n + 1)), Fraction(0))
+
+        edges = [Fraction(0)] + partition + [Fraction(1)]
+        probe = conjecture_probe(f, partition, n)
+        assert all(type(v) is Fraction for v in probe)
+        assert probe.uniform_value == riemann(Fraction(0), Fraction(1))
+        assert probe.tagged_value == sum(riemann(lo, hi) for lo, hi in zip(edges, edges[1:]))
+        assert probe.gap == abs(probe.uniform_value - probe.tagged_value)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, Fraction(7)])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ValueError):
+            conjecture_probe(X2, [Fraction(1, 2)], n)
+
+    def test_report_case_gap_is_the_closed_form_gap(self):
+        n = 2 ** 14
+        gap = Fraction(4957, 13824) / n + Fraction(347, 2304) / n ** 2
+        probe = conjecture_probe(X2, (Fraction(1, 3), Fraction(1, 2), Fraction(7, 8)), n)
+        assert probe.gap == gap
+        report = run_suite("riemann", seed=0, cases=1)
+        (case,) = [c for c in report.cases if c.id == "riemann-conjecture-probe"]
+        assert case.actual.endswith(f"; gap={gap}")
