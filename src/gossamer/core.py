@@ -10,7 +10,10 @@ sign of the leading term.
 Integral exponents are stored as ``int`` and fractional ones as
 ``Fraction``; the two compare and hash alike, so this shows only in
 speed.  The constructor is the one normaliser of outside input:
-arithmetic results are already normalised and skip it.
+arithmetic results are already normalised and skip it.  A product runs
+over integers: each operand's coefficients become numerators over the
+lcm of its denominators, and each output coefficient is built once, over
+the product of the two.
 
 Series are truncated below a per-value exponent floor, the ``floor=``
 of the constructor (``DEFAULT_TRUNCATION_FLOOR``, -16, when not given).
@@ -243,16 +246,22 @@ class Gossamer:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # Integer numerators over one common denominator per operand: the
+        # loop pays no gcd, and each output coefficient is built once.
+        da, numerators_a = _over_common_denominator(self.terms)
+        db, numerators_b = _over_common_denominator(other.terms)
         products: dict = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
+        for ea, na in numerators_a:
+            for eb, nb in numerators_b:
                 e = ea + eb
                 if e in products:
-                    products[e] += ca * cb
+                    products[e] += na * nb
                 else:
-                    products[e] = ca * cb
+                    products[e] = na * nb
         floor = max(self.truncation_floor, other.truncation_floor)
-        terms, dropped = _normalise(products, floor)
+        kept, dropped = _normalise(products, floor)
+        denominator = da * db
+        terms = tuple([(e, Fraction(p, denominator)) for e, p in kept])
         # An exact zero factor (no terms, nothing dropped) gives an exact zero.
         exact_zero = not (self.terms or self.truncated) or not (other.terms or other.truncated)
         truncated = dropped or (not exact_zero and (self.truncated or other.truncated))
@@ -468,6 +477,7 @@ class Gossamer:
 def _normalise(merged: dict, floor: Fraction) -> Tuple[tuple, bool]:
     """Descending ``(exponent, coefficient)`` terms of ``merged`` at or above ``floor``.
 
+    The coefficients may be ``Fraction``s or a product's integer numerators.
     Zero coefficients drop silently; the flag says whether a nonzero one
     fell below the floor.  An integral exponent comes out as an ``int``.
     """
@@ -484,6 +494,12 @@ def _normalise(merged: dict, floor: Fraction) -> Tuple[tuple, bool]:
             e = e.numerator
         kept.append((e, c))
     return tuple(kept), dropped
+
+
+def _over_common_denominator(terms: tuple) -> Tuple[int, list]:
+    """``(d, [(exponent, n), ...])`` with each coefficient equal to ``n / d``, d the lcm."""
+    d = math.lcm(*[c.denominator for _, c in terms])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms]
 
 
 def _term_body(coefficient: Fraction, exponent: Exponent) -> str:

@@ -4,11 +4,15 @@ A sum over a range factors through a single unary point function G, so
 interval sums are differences of point values, with infinite endpoints
 evaluating symbolically.  The closed form is certified once, by a
 brute-force check at deg g + 2 points, never by summing the range.
+Every ``ClosedFormSum`` checks that G telescopes to g over integers, by a
+Taylor shift of G's numerators over their lcm.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Union
 
 from .core import Gossamer
@@ -34,17 +38,32 @@ Endpoint = Union[int, Fraction, Gossamer]
 
 @dataclass(frozen=True)
 class ClosedFormSum:
-    """A term g(k) together with its point function G(n) = sum_{k=1}^{n} g(k)."""
+    """A term g(k) together with its point function G(n) = sum_{k=1}^{n} g(k).
+
+    Construction checks G(0) = 0 and G(n) - G(n-1) = g(n) in integers:
+    G(n-1) comes from G's numerators by a Taylor shift of subtractions
+    alone, and the difference is cross-multiplied against g.
+    """
 
     term: Polynomial
     point_function: Polynomial
 
     def __post_init__(self):
-        g = self.point_function
-        if g.evaluate(Fraction(0)) != 0:
+        point = self.point_function.coefficients
+        if point and point[0]:
             raise ValueError("point function must vanish at 0")
-        step_back = g.compose(Polynomial((-1, 1)))  # G(n-1)
-        if g - step_back != self.term:
+        common = math.lcm(*[c.denominator for c in point])
+        numerators = [c.numerator * (common // c.denominator) for c in point]
+        shifted = numerators.copy()  # becomes G(n-1) over the same lcm
+        top = len(shifted) - 1
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                shifted[j] -= shifted[j + 1]
+        term = self.term.coefficients
+        if any(
+            (n - s) * t.denominator != t.numerator * common
+            for n, s, t in zip_longest(numerators, shifted, term, fillvalue=0)
+        ):
             raise ValueError("point function does not telescope to the term")
 
 

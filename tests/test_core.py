@@ -415,9 +415,20 @@ def test_realize_keeps_only_high_terms(a, floor):
 
 
 # Kernel results against the general constructor: random floors (positive
-# ones included), fractional exponents, and truncated inputs.
+# ones included), fractional exponents, and truncated inputs.  Coefficients
+# mix integers with denominators that share factors (6, 10, 15) and large
+# Bernoulli denominators (2730, 798), so a product scaled to the wrong
+# common denominator shows.
 kernel_floors = st.one_of(
     st.none(), st.fractions(min_value=-20, max_value=2, max_denominator=2)
+)
+kernel_coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-3000, max_value=3000),
+        st.sampled_from([6, 10, 15, 2730, 798]),
+    ),
 )
 kernel_gossamers = st.builds(
     Gossamer,
@@ -427,9 +438,9 @@ kernel_gossamers = st.builds(
                 st.integers(min_value=-40, max_value=8).map(lambda n: Fraction(n, 2)),
                 st.fractions(min_value=-24, max_value=6, max_denominator=3),
             ),
-            st.integers(min_value=-3, max_value=3).map(Fraction),
+            kernel_coefficients,
         ),
-        max_size=5,
+        max_size=20,
     ),
     floor=kernel_floors,
     truncated=st.booleans(),
@@ -487,8 +498,19 @@ def test_kernel_matches_general_constructor(a, b, scalar, level):
         (omega(-9) ** 2, W + 1),
         (Gossamer.parse("w^-8 + w^-9"), Gossamer.parse("w^-8 - w^-9")),
         (1 + omega(-20, floor=-30), -omega(-20, floor=-30)),
+        # Over 30 and 5 the numerators are (5, 3) and (3, -5): w^-1 gets 15 - 15.
+        (g("1/6 + 1/10*w^-1"), g("3/5*w^-1 - 1")),
+        (g("2*w - 3 + 5*w^-1"), g("1/2730*w^-1 + 5/798*w^-2 - 7/15*w^-3")),
     ],
-    ids=["exact-zero", "truncated-zero", "dropped-zero", "product-below-floor", "cancel-deep"],
+    ids=[
+        "exact-zero",
+        "truncated-zero",
+        "dropped-zero",
+        "product-below-floor",
+        "cancel-deep",
+        "integer-numerators-cancel",
+        "integer-times-fraction",
+    ],
 )
 def test_kernel_zero_and_cancel_cases(a, b):
     check_kernel(a, b, Fraction(1, 2), Fraction(-3))

@@ -45,10 +45,17 @@ class TestIndefiniteSum:
         )  # (2n^3 + 3n^2 + n) / 6
 
     def test_invariants_enforced(self):
+        point = indefinite_sum(K).point_function
         with pytest.raises(ValueError):
             ClosedFormSum(K, Polynomial((1, 1)))  # nonzero at 0
         with pytest.raises(ValueError):
             ClosedFormSum(K, Polynomial((0, 1)))  # does not telescope
+        with pytest.raises(ValueError):
+            ClosedFormSum(K, 2 * point)  # telescopes to 2k
+        with pytest.raises(ValueError):
+            ClosedFormSum(K, point + Polynomial.monomial(3))  # one degree too high
+        with pytest.raises(ValueError):
+            ClosedFormSum(K, point + Polynomial.monomial(2, Fraction(1, 691)))  # top perturbed
 
     @given(small_polys)
     def test_faulhaber_consistency(self, g):
@@ -57,6 +64,54 @@ class TestIndefiniteSum:
         for degree, c in enumerate(g.coefficients):
             expected = expected + c * faulhaber(degree)
         assert indefinite_sum(g).point_function == expected
+
+
+def telescopes(term, point):
+    """The reference certificate: G(0) = 0 and G(n) - G(n-1) = g(n), by composition."""
+    step_back = point.compose(Polynomial((-1, 1)))  # G(n-1)
+    return point.evaluate(Fraction(0)) == 0 and point - step_back == term
+
+
+def certified(term, point):
+    try:
+        ClosedFormSum(term, point)
+    except ValueError:
+        return False
+    return True
+
+
+# Terms up to degree 40, with denominators up to 30.
+certificate_terms = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=30), max_size=41
+).map(Polynomial)
+nonzero_deltas = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+class TestCertificate:
+    @given(certificate_terms)
+    def test_accepts_every_indefinite_sum(self, g):
+        point = indefinite_sum(g).point_function
+        assert certified(g, point)
+        assert telescopes(g, point)
+
+    @given(certificate_terms, st.data())
+    def test_rejects_any_single_perturbation(self, g, data):
+        coefficients = list(indefinite_sum(g).point_function.coefficients) or [Fraction(0)]
+        index = data.draw(st.integers(0, len(coefficients) - 1), label="index")
+        coefficients[index] += data.draw(nonzero_deltas, label="delta")
+        perturbed = Polynomial(coefficients)
+        assert not telescopes(g, perturbed)
+        assert not certified(g, perturbed)
+
+    @given(certificate_terms, small_polys, st.booleans())
+    def test_agrees_with_composition(self, g, other, near):
+        # A near miss is G plus another closed form, which telescopes to g + h
+        # and is accepted exactly when h = 0; otherwise any polynomial.
+        if near:
+            point = indefinite_sum(g).point_function + indefinite_sum(other).point_function
+        else:
+            point = other
+        assert certified(g, point) == telescopes(g, point)
 
 
 class TestSumAtPoint:
