@@ -481,6 +481,8 @@ def _normalise(merged: dict, floor: Fraction) -> Tuple[tuple, bool]:
     Zero coefficients drop silently; the flag says whether a nonzero one
     fell below the floor.  An integral exponent comes out as an ``int``.
     """
+    if floor.denominator == 1:
+        floor = floor.numerator  # int exponents then compare without Fraction
     kept = []
     dropped = False
     for e in sorted(merged, reverse=True):

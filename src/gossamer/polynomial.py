@@ -45,7 +45,7 @@ class Polynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
@@ -109,28 +109,18 @@ class Polynomial:
         return not self.coefficients
 
     def evaluate(self, x: Operand):
-        """Horner evaluation; the result type follows the argument type.
+        """The value at x; the result type follows the argument type.
 
-        For an infinitesimal series x with leading exponent e < 0, every
-        term of x^i lies at or below i*e, so no coefficient above degree
-        floor(x.truncation_floor / e) reaches x's floor.  The loop starts
-        there, from a truncated zero when it skips a nonzero coefficient.
+        At a series c*w^e + k (e != 0, k an integer, possibly 0) the value
+        is p's coefficients relabelled: an integer Taylor shift by k gives
+        the coefficients r_j of p(y + k), and term j is r_j*c^j at w^(j*e).
+        Every other argument goes through Horner's rule.
         """
-        x = _as_operand(x)
-        coeffs = self.coefficients
-        acc = x * 0
-        if isinstance(x, Gossamer) and x.classify() is Kind.INFINITESIMAL:
-            reach = math.floor(x.truncation_floor / x.leading_exponent)
-            if any(coeffs[reach + 1 :]):
-                acc = Gossamer(floor=x.truncation_floor, truncated=True)
-                coeffs = coeffs[: reach + 1]
-        # A float sum keeps every ``+ c``: (-0.0) + 0 is 0.0.
-        keep_zeros = isinstance(x, float)
-        for c in reversed(coeffs):
-            acc = acc * x
-            if c or keep_zeros:
-                acc = acc + c
-        return acc
+        if isinstance(x, Gossamer):
+            form = _monomial_plus_integer(x.terms)
+            if form is not None:
+                return _relabel(self.coefficients, x, *form)
+        return _horner(self.coefficients, x)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coefficients) if i)
@@ -254,6 +244,103 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()!r})"
+
+
+def _common_numerators(coefficients) -> tuple[int, list]:
+    """``(d, [n, ...])`` with each coefficient equal to ``n / d``, d the lcm of the denominators."""
+    d = math.lcm(*[c.denominator for c in coefficients])
+    return d, [c.numerator * (d // c.denominator) for c in coefficients]
+
+
+def _taylor_shift(numerators: list, k: int) -> list:
+    """Coefficients of n(y + k), for the coefficients n of n(y), in integers alone."""
+    shifted = numerators.copy()
+    top = len(shifted) - 1
+    if k:
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                shifted[j] += k * shifted[j + 1]
+    return shifted
+
+
+def _monomial_plus_integer(terms: tuple):
+    """``(e, c, k)`` when the terms are c*w^e + k with e != 0 and k an integer, else None."""
+    if len(terms) == 1:
+        (e, c), k = terms[0], 0
+    elif len(terms) == 2 and 0 in (terms[0][0], terms[1][0]):
+        (e, c), (_, k) = terms if terms[1][0] == 0 else terms[::-1]
+        if k.denominator != 1:
+            return None
+        k = k.numerator
+    else:
+        return None
+    return (e, c, k) if e else None
+
+
+def _relabel(coefficients: tuple, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
+    """p(x) for x = c*w^e + k: term j of p(y + k) times c^j, at exponent j*e.
+
+    Horner's rule over the same x keeps exactly the terms at or above x's
+    floor, drops the rest with the flag, and is truncated when x is and p
+    is not a constant; so is this.
+    """
+    floor = x.truncation_floor
+    if not coefficients:
+        return Gossamer._make((), floor, False)
+    common, numerators = _common_numerators(coefficients)
+    shifted = _taylor_shift(numerators, k)
+    top = len(shifted) - 1
+    # j*e >= floor bounds j above when e < 0 and below when e > 0.
+    if e < 0:
+        lo, hi = 0, min(top, math.floor(floor / e))
+    else:
+        lo, hi = max(0, math.ceil(floor / e)), top
+    dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
+    en, ed = e.numerator, e.denominator
+    cn, cd = c.numerator, c.denominator
+    power_n, power_d = cn**lo, common * cd**lo
+    terms = []
+    for j in range(lo, hi + 1):
+        r = shifted[j]
+        if r:
+            n = j * en
+            exponent = n // ed if not n % ed else Fraction(n, ed)
+            terms.append((exponent, Fraction(r * power_n, power_d)))
+        power_n *= cn
+        power_d *= cd
+    if e > 0:
+        terms.reverse()
+    return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
+
+
+def _horner(coefficients: tuple, x: Operand):
+    """Horner evaluation; the result type follows the argument type.
+
+    For an infinitesimal series x with leading exponent e < 0, every
+    term of x^i lies at or below i*e, so no coefficient above degree
+    floor(x.truncation_floor / e) reaches x's floor.  The loop starts
+    there, from a truncated zero when it skips a nonzero coefficient.
+    """
+    x = _as_operand(x)
+    if isinstance(x, Gossamer) and x.truncation_floor > 0:
+        # No constant survives a positive floor, so each ``+ c`` would drop
+        # it: evaluate at floor 0, where x's terms all fit, then floor that.
+        at_zero = Gossamer._make(x.terms, Fraction(0), x.truncated)
+        return _horner(coefficients, at_zero).realize(x.truncation_floor)
+    coeffs = coefficients
+    acc = x * 0
+    if isinstance(x, Gossamer) and x.classify() is Kind.INFINITESIMAL:
+        reach = math.floor(x.truncation_floor / x.leading_exponent)
+        if any(coeffs[reach + 1 :]):
+            acc = Gossamer(floor=x.truncation_floor, truncated=True)
+            coeffs = coeffs[: reach + 1]
+    # A float sum keeps every ``+ c``: (-0.0) + 0 is 0.0.
+    keep_zeros = isinstance(x, float)
+    for c in reversed(coeffs):
+        acc = acc * x
+        if c or keep_zeros:
+            acc = acc + c
+    return acc
 
 
 class IntegralIdentity(NamedTuple):

@@ -5,18 +5,18 @@ interval sums are differences of point values, with infinite endpoints
 evaluating symbolically.  The closed form is certified once, by a
 brute-force check at deg g + 2 points, never by summing the range.
 Every ``ClosedFormSum`` checks that G telescopes to g over integers, by a
-Taylor shift of G's numerators over their lcm.
+Taylor shift of G's numerators over their lcm; the shift is the one
+``polynomial`` uses to evaluate G at an infinite endpoint w + k.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Union
 
 from .core import Gossamer
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _common_numerators, _taylor_shift
 from .riemann import faulhaber
 from .steps import StepFunction
 
@@ -41,8 +41,8 @@ class ClosedFormSum:
     """A term g(k) together with its point function G(n) = sum_{k=1}^{n} g(k).
 
     Construction checks G(0) = 0 and G(n) - G(n-1) = g(n) in integers:
-    G(n-1) comes from G's numerators by a Taylor shift of subtractions
-    alone, and the difference is cross-multiplied against g.
+    G(n-1) comes from G's numerators by an integer Taylor shift by -1,
+    and the difference is cross-multiplied against g.
     """
 
     term: Polynomial
@@ -52,13 +52,8 @@ class ClosedFormSum:
         point = self.point_function.coefficients
         if point and point[0]:
             raise ValueError("point function must vanish at 0")
-        common = math.lcm(*[c.denominator for c in point])
-        numerators = [c.numerator * (common // c.denominator) for c in point]
-        shifted = numerators.copy()  # becomes G(n-1) over the same lcm
-        top = len(shifted) - 1
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                shifted[j] -= shifted[j + 1]
+        common, numerators = _common_numerators(point)
+        shifted = _taylor_shift(numerators, -1)  # G(n-1) over the same lcm
         term = self.term.coefficients
         if any(
             (n - s) * t.denominator != t.numerator * common

@@ -17,6 +17,7 @@ from gossamer import (
     scale_integral_identity,
     shift_integral_identity,
 )
+from gossamer.polynomial import _horner
 from strategies import polynomials, rationals
 
 H = omega(-1)
@@ -32,6 +33,17 @@ class TestEvaluate:
 
     def test_infinite_argument(self):
         assert Polynomial.parse("x^2 + 1").evaluate(omega()) == Gossamer.parse("w^2 + 1")
+
+    def test_positive_floor_keeps_every_term_at_or_above_it(self):
+        x = Gossamer(((3, 1), (2, 1)), floor=2)
+        square = Polynomial([0, 0, 1]).evaluate(x)
+        assert square.terms == (x * x).terms == Gossamer.parse("w^6 + 2*w^5 + w^4").terms
+        assert not square.truncated and square.truncation_floor == 2
+
+    def test_positive_floor_drops_the_constant_with_the_flag(self):
+        value = Polynomial([5, 0, 1]).evaluate(Gossamer(((3, 1), (2, 1)), floor=2))
+        assert value.terms == Gossamer.parse("w^6 + 2*w^5 + w^4").terms
+        assert value.truncated
 
     def test_float_sum_keeps_the_zero_constant(self):
         # (-1.0)**2 + (-1.0) is -0.0 before the constant 0 is added.
@@ -67,6 +79,104 @@ def test_evaluate_matches_naive_power_sum(argument, shape):
     value = p.evaluate(x)
     assert value.terms == naive.terms
     assert value.truncated is naive.truncated
+
+
+def same_value(a, b):
+    """Term for term, exponent types included, with the same floor and flag."""
+    return (
+        a.terms == b.terms
+        and [type(e) for e, _ in a.terms] == [type(e) for e, _ in b.terms]
+        and a.truncation_floor == b.truncation_floor
+        and a.truncated is b.truncated
+    )
+
+
+# Denominators of Bernoulli-built closed forms: 6, 30, 2730 (B_12), 798 (B_18).
+relabel_coefficients = st.builds(
+    Fraction, st.integers(-30, 30), st.sampled_from([1, 6, 30, 2730, 798])
+)
+relabel_polynomials = st.integers(0, 41).flatmap(
+    lambda size: st.lists(relabel_coefficients, min_size=size, max_size=size)
+).map(Polynomial)
+relabel_exponents = st.sampled_from(
+    [s * Fraction(e) for s in (1, -1) for e in (1, 2, 3, Fraction(1, 2), Fraction(1, 3))]
+)
+relabel_floors = st.sampled_from([-40, -16, Fraction(-7, 2), -1, 0, 2])
+
+
+@given(
+    relabel_polynomials,
+    relabel_exponents,
+    st.builds(Fraction, st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5]), st.integers(1, 4)),
+    st.integers(-3, 3),
+    relabel_floors,
+    st.booleans(),
+)
+def test_relabelling_matches_horner(p, e, c, k, floor, truncated):
+    # x = c*w^e + k; at floor 2 the constant, and any w^e below 2, drop with the flag.
+    x = Gossamer(((e, c), (0, k)), floor=floor, truncated=truncated)
+    value = p.evaluate(x)
+    assert same_value(value, _horner(p.coefficients, x))
+    if not value.truncated and not x.truncated:
+        # Read every exponent as a multiple of 1/q and put w^(1/q) = 3.
+        q = Fraction(e).denominator
+        scaled = Gossamer([(q * ex, co) for ex, co in value.terms], floor=q * floor)
+        at_three = scaled.at_omega(3)
+        stand_in = sum((co * Fraction(3) ** (q * ex) for ex, co in x.terms), Fraction(0))
+        assert at_three == p.evaluate(stand_in)
+
+
+# (coefficients, x): each is one way the relabelling can go wrong.
+RELABEL_EDGES = {
+    "constant-at-truncated-x": ([7], Gossamer(((1, 1),), truncated=True)),
+    "zero-at-truncated-x": ([], Gossamer(((-1, 1), (0, 2)), truncated=True)),
+    "positive-floor-drops-the-constant": ([5, 1, 1, 1], omega(2, floor=2)),
+    "positive-floor-keeps-all": ([0, 0, 2, 1], omega(3, floor=3)),
+    "floor-between-powers": ([1, 1, 1, 1, 1], Gossamer(((-1, 2), (0, -1)), floor=Fraction(-7, 2))),
+    "shift-cancels-every-kept-term": ([1, 2, 1], Gossamer(((-3, 1), (0, -1)), floor=-4)),
+    "integral-multiples-of-a-third": ([1, 1, 1, 1, 1, 1, 1], omega(Fraction(-1, 3))),
+    "infinite-with-negative-shift": ([0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)], omega(2) - 3),
+    "scaled-infinitesimal": ([1, 2, 3], Fraction(-2, 3) * omega(-1, floor=-1)),
+}
+
+
+@pytest.mark.parametrize("edge", RELABEL_EDGES)
+def test_relabelling_edges_match_horner(edge):
+    coefficients, x = RELABEL_EDGES[edge]
+    p = Polynomial(coefficients)
+    assert same_value(p.evaluate(x), _horner(p.coefficients, x))
+
+
+OFF_FORM = {
+    "non-integer-constant": Gossamer.parse("w + 1/2"),
+    "two-non-constant-terms": Gossamer.parse("w - w^-1"),
+    "three-terms": Gossamer.parse("w^2 + w + 1"),
+    "constant": Gossamer.parse("3"),
+    "zero": Gossamer(),
+    "float": 2.5,
+}
+
+
+@pytest.mark.parametrize("argument", OFF_FORM)
+@given(p=polynomials)
+def test_other_arguments_take_horner(argument, p):
+    x = OFF_FORM[argument]
+    value, horner = p.evaluate(x), _horner(p.coefficients, x)
+    if isinstance(x, float):
+        assert value == horner and type(value) is float
+    else:
+        assert same_value(value, horner)
+
+
+class TestInit:
+    def test_fraction_is_kept(self):
+        half = Fraction(1, 2)
+        assert Polynomial([0, half]).coefficients[1] is half
+
+    @pytest.mark.parametrize("raw, expected", [(3, 3), (True, 1), ("-2/6", Fraction(-1, 3))])
+    def test_other_inputs_convert(self, raw, expected):
+        (c,) = Polynomial([raw]).coefficients
+        assert type(c) is Fraction and c == expected
 
 
 class TestDerivative:
