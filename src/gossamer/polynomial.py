@@ -313,6 +313,45 @@ def _relabel(coefficients: tuple, x: Gossamer, e, c: Fraction, k: int) -> Gossam
     return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
 
 
+def _reciprocal_relabel(coefficients: tuple, nu: Gossamer, e, c: Fraction, k: int) -> Gossamer:
+    """q(1/nu) for nu = c*w^e + k (e > 0, k an integer), read off q's integer numerators.
+
+    1/nu = t/(1 + k*t) with t = w^-e/c, so the term at w^(-m*e) is
+    c^-m * sum_{j=1}^{min(m, deg q)} q_j*C(m-1, j-1)*(-k)^(m-j), and q_0
+    at m = 0; with k = 0 it is q_m*c^-m.  Horner's rule over
+    ``nu.inverse()`` keeps the same terms, those at or above nu's floor,
+    drops the rest with the flag, and is truncated when that inverse is
+    (k != 0 or nu truncated) and q is not a constant; so is this.
+    """
+    floor = nu.truncation_floor
+    common, numerators = _common_numerators(coefficients)
+    top = len(numerators) - 1
+    # -m*e >= floor bounds m; at a positive floor not even m = 0 is kept.
+    reach = math.floor(-floor / e)
+    truncated = any(numerators[max(reach + 1, 0) :]) or (top > 0 and (k != 0 or nu.truncated))
+    last = reach if k and top > 0 else min(reach, top)
+    minus_k = [(-k) ** i for i in range(last + 1)]
+    en, ed = e.numerator, e.denominator
+    cn, cd = c.numerator, c.denominator
+    power_n, power_d = 1, common
+    terms = []
+    for m in range(last + 1):
+        if m and k:
+            r = sum(
+                numerators[j] * math.comb(m - 1, j - 1) * minus_k[m - j]
+                for j in range(1, min(m, top) + 1)
+            )
+        else:
+            r = numerators[m]
+        if r:
+            n = -m * en
+            exponent = n // ed if not n % ed else Fraction(n, ed)
+            terms.append((exponent, Fraction(r * power_n, power_d)))
+        power_n *= cd
+        power_d *= cn
+    return Gossamer._make(tuple(terms), floor, truncated)
+
+
 def _horner(coefficients: tuple, x: Operand):
     """Horner evaluation; the result type follows the argument type.
 

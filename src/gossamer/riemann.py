@@ -4,6 +4,8 @@ The sum over j of f(j/nu)*(1/nu) is never iterated: the power-sum
 closed forms fold it into one rational polynomial Q_f in the panel width
 1/nu (the Euler-Maclaurin form), evaluated once at 1/nu; its standard
 part, Q_f(0), is the integral and its lower-order terms the remainder.
+At nu = c*w^e + k (k an integer) Q_f(1/nu) is read off Q_f's integer
+numerators by the binomial series of 1/nu, with no series inverse.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
 A finite count n reads the same series at w = n.
 """
@@ -16,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .core import Gossamer, Kind, RationalLike, ZeroMagnitudeError, omega
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _monomial_plus_integer, _reciprocal_relabel
 
 __all__ = [
     "ConjectureProbe",
@@ -36,17 +38,33 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_row(n: int) -> tuple[Fraction, ...]:
-    # Akiyama-Tanigawa; yields the B1 = +1/2 convention.
-    row: list[Fraction] = []
-    work = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        work[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            work[j - 1] = j * (work[j - 1] - work[j])
-        row.append(work[0])
-    return tuple(row)
+def _bernoulli_cache():
+    """B_0, B_1, ... (Akiyama-Tanigawa, so B_1 = +1/2), grown one entry at a time.
+
+    It keeps one list of numbers and one working row, whatever the longest
+    request; ``cache_clear`` starts over, as it does for ``faulhaber``.
+    """
+    numbers: list[Fraction] = []
+    work: list[Fraction] = []
+
+    def prefix(n: int) -> list[Fraction]:
+        """The shared list B_0..B_m for some m >= n."""
+        for m in range(len(numbers), n + 1):
+            work.append(Fraction(1, m + 1))
+            for j in range(m, 0, -1):
+                work[j - 1] = j * (work[j - 1] - work[j])
+            numbers.append(work[0])
+        return numbers
+
+    def cache_clear() -> None:
+        numbers.clear()
+        work.clear()
+
+    prefix.cache_clear = cache_clear
+    return prefix
+
+
+_bernoulli_prefix = _bernoulli_cache()
 
 
 def bernoulli_number(m: int) -> Fraction:
@@ -57,7 +75,7 @@ def bernoulli_number(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _bernoulli_row(m)[m]
+    return _bernoulli_prefix(m)[m]
 
 
 @lru_cache(maxsize=None)
@@ -66,8 +84,9 @@ def faulhaber(p: int) -> Polynomial:
     if p < 0:
         raise ValueError("p must be >= 0")
     coeffs = [Fraction(0)] * (p + 2)
-    for j, b in enumerate(_bernoulli_row(p)):  # entry j does not depend on the row length
-        coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * b
+    numbers = _bernoulli_prefix(p)
+    for j in range(p + 1):
+        coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * numbers[j]
     return Polynomial(coeffs)
 
 
@@ -102,9 +121,12 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
     """Evaluate sum_{j=1}^{nu} f(j/nu)*(1/nu) exactly, as a polynomial Q_f in the width 1/nu.
 
     With S_d(n) = sum_m s_{d,m} n^m the sum is sum_d c_d S_d(nu)/nu^(d+1),
-    so Q_f has coefficients q_i = sum_{d >= i} c_d s_{d,d+1-i}.  Powers of
-    1/nu lead with negative exponents, so every term kept above the floor
-    is exact.
+    so Q_f has coefficients q_i = sum_{d >= i} c_d s_{d,d+1-i}.  At
+    nu = c*w^e + k, k an integer, 1/nu = t/(1 + k*t) with t = w^-e/c, and
+    each term of Q_f(1/nu) is a binomial sum of Q_f's integer numerators;
+    any other nu takes Horner's rule over ``nu.inverse()``.  Powers of 1/nu
+    lead with negative exponents, so every term kept above the floor is
+    exact.
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
@@ -113,7 +135,13 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
         if c:
             for m, s in enumerate(faulhaber(degree).coefficients):
                 q[degree + 1 - m] += c * s
-    return UniformRiemannSum(f, nu, Polynomial(q).evaluate(nu.inverse()))
+    q_f = Polynomial(q)
+    form = _monomial_plus_integer(nu.terms)
+    if form is not None:
+        value = _reciprocal_relabel(q_f.coefficients, nu, *form)
+    else:
+        value = q_f.evaluate(nu.inverse())
+    return UniformRiemannSum(f, nu, value)
 
 
 def riemann_limit(f: Polynomial) -> Fraction:

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies, and the exact value comparison, shared across the test modules."""
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -40,3 +40,13 @@ def step_functions(draw, max_jumps=8):
         )
     )
     return StepFunction(tuple(sorted(points)), tuple(levels))
+
+
+def same_value(a, b):
+    """Term for term, exponent types included, with the same floor and flag."""
+    return (
+        a.terms == b.terms
+        and [type(e) for e, _ in a.terms] == [type(e) for e, _ in b.terms]
+        and a.truncation_floor == b.truncation_floor
+        and a.truncated is b.truncated
+    )

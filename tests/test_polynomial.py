@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gossamer import (
@@ -17,8 +17,8 @@ from gossamer import (
     scale_integral_identity,
     shift_integral_identity,
 )
-from gossamer.polynomial import _horner
-from strategies import polynomials, rationals
+from gossamer.polynomial import _horner, _monomial_plus_integer, _reciprocal_relabel
+from strategies import polynomials, rationals, same_value
 
 H = omega(-1)
 X2 = Polynomial.parse("x^2")
@@ -81,16 +81,6 @@ def test_evaluate_matches_naive_power_sum(argument, shape):
     assert value.truncated is naive.truncated
 
 
-def same_value(a, b):
-    """Term for term, exponent types included, with the same floor and flag."""
-    return (
-        a.terms == b.terms
-        and [type(e) for e, _ in a.terms] == [type(e) for e, _ in b.terms]
-        and a.truncation_floor == b.truncation_floor
-        and a.truncated is b.truncated
-    )
-
-
 # Denominators of Bernoulli-built closed forms: 6, 30, 2730 (B_12), 798 (B_18).
 relabel_coefficients = st.builds(
     Fraction, st.integers(-30, 30), st.sampled_from([1, 6, 30, 2730, 798])
@@ -145,6 +135,30 @@ def test_relabelling_edges_match_horner(edge):
     coefficients, x = RELABEL_EDGES[edge]
     p = Polynomial(coefficients)
     assert same_value(p.evaluate(x), _horner(p.coefficients, x))
+
+
+# nu = c*w^e + k: the exponents, coefficients (negative, non-unit) and integer
+# constants of the counts whose reciprocal Q_f reads off without inverse().
+reciprocal_exponents = st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 2)])
+reciprocal_scales = st.sampled_from([1, -1, 3, Fraction(-2, 3), Fraction(5, 2)])
+reciprocal_shifts = st.sampled_from([0, 1, -1, 3, -3])
+reciprocal_floors = st.sampled_from([-16, -9, Fraction(-7, 2), -1, 0, 2])
+
+
+@given(
+    relabel_polynomials,
+    reciprocal_exponents,
+    reciprocal_scales,
+    reciprocal_shifts,
+    reciprocal_floors,
+    st.booleans(),
+)
+def test_reciprocal_relabelling_matches_horner(q, e, c, k, floor, truncated):
+    # At floor 2 the constant k, and w^e for e < 2, drop from nu itself.
+    nu = Gossamer(((e, c), (0, k)), floor=floor, truncated=truncated)
+    assume(nu.terms)
+    value = _reciprocal_relabel(q.coefficients, nu, *_monomial_plus_integer(nu.terms))
+    assert same_value(value, _horner(q.coefficients, nu.inverse()))
 
 
 OFF_FORM = {

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gossamer.riemann
 from gossamer import (
     Gossamer,
     Polynomial,
@@ -23,8 +24,9 @@ from gossamer import (
     run_suite,
     uniform_riemann_sum,
 )
-from gossamer.riemann import _inverse, _scaled_integral
-from strategies import polynomials, small_rationals
+from gossamer.polynomial import _horner
+from gossamer.riemann import _bernoulli_prefix, _inverse, _scaled_integral
+from strategies import polynomials, same_value, small_rationals
 
 X = Polynomial.parse("x")
 X2 = Polynomial.parse("x^2")
@@ -63,6 +65,32 @@ class TestBernoulli:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli_number(-1)
+
+    def test_growing_prefix_matches_rows_computed_alone(self):
+        # Oracle: an Akiyama-Tanigawa table of its own for each n, read at its end.
+        def alone(n):
+            work = [Fraction(1, m + 1) for m in range(n + 1)]
+            for m in range(n + 1):
+                for j in range(m, 0, -1):
+                    work[j - 1] = j * (work[j - 1] - work[j])
+                if m == n:
+                    return work[0]
+
+        order = [5, 0, 33, 12, 81, 1, 40]
+        for cold in (False, True):
+            if cold:
+                _bernoulli_prefix.cache_clear()
+                assert len(_bernoulli_prefix(0)) == 1  # started over
+            assert [bernoulli_number(m) for m in order] == [alone(m) for m in order]
+        assert bernoulli_number(12) == Fraction(-691, 2730)
+
+    def test_cleared_caches_start_cold(self):
+        # A cold traced set-up calls cache_clear on every module attribute that has one.
+        for value in list(vars(gossamer.riemann).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        assert len(_bernoulli_prefix(0)) == 1
+        assert faulhaber(12).coefficients[1] == Fraction(-691, 2730)
 
 
 class TestFaulhaber:
@@ -139,7 +167,7 @@ class TestUniformSum:
 
     def test_constant_sum_is_exact(self):
         # f = 5 sums to 5 at every count; 1/nu is truncated at w + 1, but
-        # Horner's seed 1/nu * 0 is an exact zero, so nothing is flagged.
+        # a constant Q_f takes no power of it, so nothing is flagged.
         value = uniform_riemann_sum(Polynomial.constant(5), omega() + 1).value
         assert value == 5 and not value.truncated
 
@@ -160,6 +188,60 @@ class TestUniformSum:
         # Bounded integrands on [0, 1] keep the sum's leading exponent <= 0.
         value = uniform_riemann_sum(f).value
         assert (not value) or value.leading_exponent <= 0
+
+
+def width_polynomial(f):
+    """Q_f by the power-sum fold in ``Fraction``s: c_d*s_{d,m} into slot d + 1 - m."""
+    slots = [Fraction(0)] * (len(f.coefficients) + 1)
+    for degree, c in enumerate(f.coefficients):
+        if c:
+            for m, s in enumerate(faulhaber(degree).coefficients):
+                slots[degree + 1 - m] += c * s
+    return Polynomial(slots)
+
+
+# Sparse polynomials up to degree 81 whose coefficients carry Bernoulli-like
+# denominators, and dense ones of low degree.
+sparse_or_dense = st.one_of(
+    polynomials,
+    st.dictionaries(
+        st.integers(0, 81),
+        st.builds(Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 6, 30, 2730])),
+        max_size=4,
+    ).map(lambda c: Polynomial([c.get(d, 0) for d in range(max(c, default=-1) + 1)])),
+)
+
+
+class TestReciprocalRead:
+    """Q_f(1/nu) without nu.inverse(), against Horner's rule over it."""
+
+    @given(sparse_or_dense, st.sampled_from(sorted(COUNTS)))
+    def test_matches_horner_over_the_inverse(self, f, count):
+        nu = COUNTS[count]
+        q = width_polynomial(f)
+        assert same_value(uniform_riemann_sum(f, nu).value, _horner(q.coefficients, nu.inverse()))
+
+    # (f, nu): the read at its edges, and counts that are not c*w^e + k and
+    # keep Horner over nu.inverse().
+    EDGES = {
+        "constant-at-w+1": (Polynomial.constant(Fraction(7, 3)), omega() + 1),
+        "zero-f-at-w+1": (Polynomial(), omega() + 1),
+        "zero-f-at-truncated-w": (Polynomial(), Gossamer(((1, 1),), truncated=True)),
+        "constant-at-truncated-w": (Polynomial.constant(2), Gossamer(((1, 1),), truncated=True)),
+        "linear-at-truncated-w": (X, Gossamer(((1, 1),), truncated=True)),
+        "positive-floor": (X2, omega(2, floor=1)),
+        "floor-above-the-constant": (ONE, omega(1, floor=Fraction(1, 2))),
+        "shallow-floor-at-2w-3": (X2, Gossamer(((1, 2), (0, -3)), floor=-1)),
+        "fallback-w^2+w": (X2, omega(2) + omega()),
+        "fallback-w+1/2": (Polynomial.parse("x^3 - x"), omega() + Fraction(1, 2)),
+        "fallback-w-w^-1": (X, omega() - omega(-1)),
+    }
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_edges_match_horner(self, edge):
+        f, nu = self.EDGES[edge]
+        q = width_polynomial(f)
+        assert same_value(uniform_riemann_sum(f, nu).value, _horner(q.coefficients, nu.inverse()))
 
 
 class TestRiemannLimit:
