@@ -248,17 +248,19 @@ class Gossamer:
             return NotImplemented
         # Integer numerators over one common denominator per operand: the
         # loop pays no gcd, and each output coefficient is built once.
-        da, numerators_a = _over_common_denominator(self.terms)
-        db, numerators_b = _over_common_denominator(other.terms)
+        da, numerators_a = _common_numerators([c for _, c in self.terms])
+        db, numerators_b = _common_numerators([c for _, c in other.terms])
+        pairs_b = [(e, n) for (e, _), n in zip(other.terms, numerators_b)]
         products: dict = {}
-        for ea, na in numerators_a:
-            for eb, nb in numerators_b:
+        for (ea, _), na in zip(self.terms, numerators_a):
+            for eb, nb in pairs_b:
                 e = ea + eb
                 if e in products:
                     products[e] += na * nb
                 else:
                     products[e] = na * nb
-        floor = max(self.truncation_floor, other.truncation_floor)
+        fa, fb = self.truncation_floor, other.truncation_floor
+        floor = fa if fa is fb else max(fa, fb)  # most operands share one floor object
         kept, dropped = _normalise(products, floor)
         denominator = da * db
         terms = tuple([(e, Fraction(p, denominator)) for e, p in kept])
@@ -498,10 +500,10 @@ def _normalise(merged: dict, floor: Fraction) -> Tuple[tuple, bool]:
     return tuple(kept), dropped
 
 
-def _over_common_denominator(terms: tuple) -> Tuple[int, list]:
-    """``(d, [(exponent, n), ...])`` with each coefficient equal to ``n / d``, d the lcm."""
-    d = math.lcm(*[c.denominator for _, c in terms])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms]
+def _common_numerators(coefficients: Sequence[Fraction]) -> Tuple[int, list]:
+    """``(d, [n, ...])`` with each coefficient equal to ``n / d``, d the lcm of denominators."""
+    d = math.lcm(*[c.denominator for c in coefficients])
+    return d, [c.numerator * (d // c.denominator) for c in coefficients]
 
 
 def _term_body(coefficient: Fraction, exponent: Exponent) -> str:

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-from .core import Gossamer, Kind, RationalLike, _require_infinitesimal
+from .core import Gossamer, Kind, RationalLike, _common_numerators, _require_infinitesimal
 from .parsing import ParseError, match_term, split_terms
 
 __all__ = [
@@ -246,12 +246,6 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
-def _common_numerators(coefficients) -> tuple[int, list]:
-    """``(d, [n, ...])`` with each coefficient equal to ``n / d``, d the lcm of the denominators."""
-    d = math.lcm(*[c.denominator for c in coefficients])
-    return d, [c.numerator * (d // c.denominator) for c in coefficients]
-
-
 def _taylor_shift(numerators: list, k: int) -> list:
     """Coefficients of n(y + k), for the coefficients n of n(y), in integers alone."""
     shifted = numerators.copy()
@@ -296,60 +290,53 @@ def _relabel(coefficients: tuple, x: Gossamer, e, c: Fraction, k: int) -> Gossam
     else:
         lo, hi = max(0, math.ceil(floor / e)), top
     dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
+    terms = _terms(shifted, lo, hi, e, c, common)
+    if e > 0:
+        terms.reverse()
+    return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
+
+
+def _terms(numerators: list, lo: int, hi: int, e, c: Fraction, common: int) -> list:
+    """``(j*e, r_j*c^j/common)`` for each nonzero r_j, j = lo..hi, in that order."""
     en, ed = e.numerator, e.denominator
     cn, cd = c.numerator, c.denominator
     power_n, power_d = cn**lo, common * cd**lo
     terms = []
     for j in range(lo, hi + 1):
-        r = shifted[j]
+        r = numerators[j]
         if r:
             n = j * en
             exponent = n // ed if not n % ed else Fraction(n, ed)
             terms.append((exponent, Fraction(r * power_n, power_d)))
         power_n *= cn
         power_d *= cd
-    if e > 0:
-        terms.reverse()
-    return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
+    return terms
 
 
-def _reciprocal_relabel(coefficients: tuple, nu: Gossamer, e, c: Fraction, k: int) -> Gossamer:
-    """q(1/nu) for nu = c*w^e + k (e > 0, k an integer), read off q's integer numerators.
+def _at_reciprocal(coefficients: tuple, nu: Gossamer) -> Gossamer:
+    """q(1/nu) for an infinite nu: Horner's rule over ``nu.inverse()``, unless nu = c*w^e + k.
 
-    1/nu = t/(1 + k*t) with t = w^-e/c, so the term at w^(-m*e) is
-    c^-m * sum_{j=1}^{min(m, deg q)} q_j*C(m-1, j-1)*(-k)^(m-j), and q_0
-    at m = 0; with k = 0 it is q_m*c^-m.  Horner's rule over
-    ``nu.inverse()`` keeps the same terms, those at or above nu's floor,
-    drops the rest with the flag, and is truncated when that inverse is
-    (k != 0 or nu truncated) and q is not a constant; so is this.
+    There (e > 0, k an integer) 1/nu = t/(1 + k*t), t = w^-e/c: ``_relabel``
+    at k = 0, and otherwise the never-ending, so truncated, series whose term
+    at w^(-m*e) is c^-m * sum_{j=1}^{min(m, deg q)} q_j*C(m-1, j-1)*(-k)^(m-j)
+    (q_0 at m = 0).  Either keeps Horner's terms, floor and flag.
     """
-    floor = nu.truncation_floor
+    form = _monomial_plus_integer(nu.terms)
+    if form is None:
+        return _horner(coefficients, nu.inverse())
+    e, c, k = form
+    if not k or len(coefficients) < 2:
+        return _relabel(coefficients, nu, -e, 1 / c, 0)
     common, numerators = _common_numerators(coefficients)
-    top = len(numerators) - 1
     # -m*e >= floor bounds m; at a positive floor not even m = 0 is kept.
-    reach = math.floor(-floor / e)
-    truncated = any(numerators[max(reach + 1, 0) :]) or (top > 0 and (k != 0 or nu.truncated))
-    last = reach if k and top > 0 else min(reach, top)
-    minus_k = [(-k) ** i for i in range(last + 1)]
-    en, ed = e.numerator, e.denominator
-    cn, cd = c.numerator, c.denominator
-    power_n, power_d = 1, common
-    terms = []
-    for m in range(last + 1):
-        if m and k:
-            r = sum(
-                numerators[j] * math.comb(m - 1, j - 1) * minus_k[m - j]
-                for j in range(1, min(m, top) + 1)
-            )
-        else:
-            r = numerators[m]
-        if r:
-            n = -m * en
-            exponent = n // ed if not n % ed else Fraction(n, ed)
-            terms.append((exponent, Fraction(r * power_n, power_d)))
-        power_n *= cd
-        power_d *= cn
-    return Gossamer._make(tuple(terms), floor, truncated)
+    reach = math.floor(-nu.truncation_floor / e)
+    minus_k = [(-k) ** i for i in range(reach + 1)]
+    sums = numerators[:1]
+    for m in range(1, reach + 1):
+        row = enumerate(numerators[1 : m + 1], 1)  # j = 1..min(m, deg q)
+        sums.append(sum(q * math.comb(m - 1, j - 1) * minus_k[m - j] for j, q in row))
+    terms = _terms(sums, 0, reach, -e, 1 / c, common)
+    return Gossamer._make(tuple(terms), nu.truncation_floor, True)
 
 
 def _horner(coefficients: tuple, x: Operand):

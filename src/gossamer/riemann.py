@@ -7,7 +7,7 @@ part, Q_f(0), is the integral and its lower-order terms the remainder.
 At nu = c*w^e + k (k an integer) Q_f(1/nu) is read off Q_f's integer
 numerators by the binomial series of 1/nu, with no series inverse.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
-A finite count n reads the same series at w = n.
+A finite count n reads Q_f at 1/n.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .core import Gossamer, Kind, RationalLike, ZeroMagnitudeError, omega
-from .polynomial import Polynomial, _monomial_plus_integer, _reciprocal_relabel
+from .polynomial import Polynomial, _at_reciprocal
 
 __all__ = [
     "ConjectureProbe",
@@ -117,6 +117,20 @@ def _inverse(nu: Gossamer) -> Gossamer:
     return Gossamer(nu.terms, floor=deep, truncated=nu.truncated).inverse()
 
 
+def _power_sum_fold(coefficients: tuple, row, reflect: bool) -> Polynomial:
+    """sum_d c_d*S_d with S_d = row(d) (``faulhaber``): c_d*s_{d,m} in slot m gives G.
+
+    Reflected, S_d's d + 2 coefficients reversed, it goes in slot d + 1 - m: Q_f.
+    """
+    slots = [Fraction(0)] * (len(coefficients) + 1)
+    for degree, c in enumerate(coefficients):
+        if c:
+            row_coefficients = row(degree).coefficients
+            for slot, s in enumerate(row_coefficients[::-1] if reflect else row_coefficients):
+                slots[slot] += c * s
+    return Polynomial._make(slots)
+
+
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:
     """Evaluate sum_{j=1}^{nu} f(j/nu)*(1/nu) exactly, as a polynomial Q_f in the width 1/nu.
 
@@ -126,22 +140,12 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
     each term of Q_f(1/nu) is a binomial sum of Q_f's integer numerators;
     any other nu takes Horner's rule over ``nu.inverse()``.  Powers of 1/nu
     lead with negative exponents, so every term kept above the floor is
-    exact.
+    exact.  ``conjecture_probe`` reads the same Q_f at 1/n for a finite n.
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
-    q = [Fraction(0)] * (len(f.coefficients) + 1)
-    for degree, c in enumerate(f.coefficients):
-        if c:
-            for m, s in enumerate(faulhaber(degree).coefficients):
-                q[degree + 1 - m] += c * s
-    q_f = Polynomial(q)
-    form = _monomial_plus_integer(nu.terms)
-    if form is not None:
-        value = _reciprocal_relabel(q_f.coefficients, nu, *form)
-    else:
-        value = q_f.evaluate(nu.inverse())
-    return UniformRiemannSum(f, nu, value)
+    q_f = _power_sum_fold(f.coefficients, faulhaber, reflect=True)
+    return UniformRiemannSum(f, nu, _at_reciprocal(q_f.coefficients, nu))
 
 
 def riemann_limit(f: Polynomial) -> Fraction:
@@ -274,7 +278,8 @@ def conjecture_probe(
     """Exact uniform n-panel sum against n panels on each piece of a partition.
 
     The refined sum is the uniform sum of sum_pieces (hi - lo)*f(lo + (hi - lo)y),
-    and each is its closed form read at w = n.  Reported, never asserted.
+    and each is its polynomial Q in the width, as in ``uniform_riemann_sum``,
+    read at 1/n.  Reported, never asserted.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an int >= 1, got {n!r}")
@@ -288,6 +293,6 @@ def conjecture_probe(
         (hi - lo) * f.compose(Polynomial((lo, hi - lo)))
         for lo, hi in zip([0] + cuts, cuts + [1])
     )
-    nu = omega(floor=-max(f.degree, 1))  # Q_f has degree <= deg f in 1/nu: no term drops
-    uniform, tagged = (uniform_riemann_sum(g, nu).value.at_omega(n) for g in (f, refined))
+    widths = (_power_sum_fold(g.coefficients, faulhaber, reflect=True) for g in (f, refined))
+    uniform, tagged = (q.evaluate(Fraction(1, n)) for q in widths)
     return ConjectureProbe(uniform, tagged, abs(uniform - tagged))

@@ -2,11 +2,12 @@
 
 A sum over a range factors through a single unary point function G, so
 interval sums are differences of point values, with infinite endpoints
-evaluating symbolically.  The closed form is certified once, by a
-brute-force check at deg g + 2 points, never by summing the range.
-Every ``ClosedFormSum`` checks that G telescopes to g over integers, by a
-Taylor shift of G's numerators over their lcm; the shift is the one
-``polynomial`` uses to evaluate G at an infinite endpoint w + k.
+evaluating symbolically.  G is certified at construction, never by
+summing the range: every ``ClosedFormSum`` checks that G telescopes to g
+over integers, by a Taylor shift of G's numerators over their lcm; the
+shift is the one ``polynomial`` uses to evaluate G at an infinite
+endpoint w + k.  ``prefix_sums_match``, G against running totals at
+deg g + 2 points, is the CLI's independent oracle.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Union
 
-from .core import Gossamer
-from .polynomial import Polynomial, _common_numerators, _taylor_shift
-from .riemann import faulhaber
+from .core import Gossamer, _common_numerators
+from .polynomial import Polynomial, _taylor_shift
+from .riemann import _power_sum_fold, faulhaber
 from .steps import StepFunction
 
 __all__ = [
@@ -63,12 +64,8 @@ class ClosedFormSum:
 
 
 def indefinite_sum(g: Polynomial) -> ClosedFormSum:
-    """Closed form for sum_{k=1}^{n} g(k), assembled monomial-wise."""
-    point = Polynomial()
-    for degree, c in enumerate(g.coefficients):
-        if c:
-            point = point + c * faulhaber(degree)
-    return ClosedFormSum(g, point)
+    """Closed form for sum_{k=1}^{n} g(k): the power-sum fold sum_d c_d*S_d, certified."""
+    return ClosedFormSum(g, _power_sum_fold(g.coefficients, faulhaber, reflect=False))
 
 
 def sum_at_point(s: ClosedFormSum, a: Endpoint):
@@ -137,7 +134,7 @@ def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
 
     Infinite endpoints give the exact symbolic value.  The sum over
     a+1..b is G(b) - G(a), i.e. ``sum_at_point(s, b) - sum_at_point(s, a)``.
-    No oracle runs here; ``prefix_sums_match`` certifies the closed form.
+    No oracle runs here; construction certifies the closed form.
     """
     a, b = _endpoint(a), _endpoint(b)
     if a.compare(b) > 0:

@@ -1,9 +1,9 @@
-"""Hypothesis strategies, and the exact value comparison, shared across the test modules."""
+"""Hypothesis strategies, the exact value comparison and the power-sum oracles shared across the test modules."""
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gossamer import Gossamer, Polynomial, StepFunction
+from gossamer import Gossamer, Polynomial, StepFunction, faulhaber
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -19,6 +19,17 @@ nonzero_gossamers = gossamers.filter(bool)
 
 polynomials = st.lists(small_rationals, max_size=9).map(Polynomial)
 nonzero_polynomials = polynomials.filter(lambda p: not p.is_zero)
+
+# Sparse polynomials up to degree 81 whose coefficients carry Bernoulli-like
+# denominators, and dense ones of low degree.
+sparse_or_dense = st.one_of(
+    polynomials,
+    st.dictionaries(
+        st.integers(0, 81),
+        st.builds(Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 6, 30, 2730])),
+        max_size=4,
+    ).map(lambda c: Polynomial([c.get(d, 0) for d in range(max(c, default=-1) + 1)])),
+)
 
 
 @st.composite
@@ -50,3 +61,21 @@ def same_value(a, b):
         and a.truncation_floor == b.truncation_floor
         and a.truncated is b.truncated
     )
+
+
+def width_polynomial(f):
+    """Q_f by the power-sum fold in ``Fraction``s: c_d*s_{d,m} into slot d + 1 - m."""
+    slots = [Fraction(0)] * (len(f.coefficients) + 1)
+    for degree, c in enumerate(f.coefficients):
+        if c:
+            for m, s in enumerate(faulhaber(degree).coefficients):
+                slots[degree + 1 - m] += c * s
+    return Polynomial(slots)
+
+
+def point_polynomial(g):
+    """G by the power-sum forms, one ``Polynomial`` product and sum per degree."""
+    expected = Polynomial()
+    for degree, c in enumerate(g.coefficients):
+        expected = expected + c * faulhaber(degree)
+    return expected

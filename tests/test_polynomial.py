@@ -17,7 +17,7 @@ from gossamer import (
     scale_integral_identity,
     shift_integral_identity,
 )
-from gossamer.polynomial import _horner, _monomial_plus_integer, _reciprocal_relabel
+from gossamer.polynomial import _at_reciprocal, _horner
 from strategies import polynomials, rationals, same_value
 
 H = omega(-1)
@@ -127,6 +127,7 @@ RELABEL_EDGES = {
     "integral-multiples-of-a-third": ([1, 1, 1, 1, 1, 1, 1], omega(Fraction(-1, 3))),
     "infinite-with-negative-shift": ([0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)], omega(2) - 3),
     "scaled-infinitesimal": ([1, 2, 3], Fraction(-2, 3) * omega(-1, floor=-1)),
+    "scaled-with-the-constant-dropped": ([1, 2, 3], Gossamer(((2, Fraction(5, 2)),), floor=2)),
 }
 
 
@@ -139,9 +140,12 @@ def test_relabelling_edges_match_horner(edge):
 
 # nu = c*w^e + k: the exponents, coefficients (negative, non-unit) and integer
 # constants of the counts whose reciprocal Q_f reads off without inverse().
+# Counts off that form take Horner's rule over nu.inverse(): a constant of
+# 1/2 (w + 1/2) and a second power w^(s*e) (w^2 + w, w + w^-1).
 reciprocal_exponents = st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 2)])
 reciprocal_scales = st.sampled_from([1, -1, 3, Fraction(-2, 3), Fraction(5, 2)])
-reciprocal_shifts = st.sampled_from([0, 1, -1, 3, -3])
+reciprocal_shifts = st.sampled_from([0, 1, -1, 3, -3, Fraction(1, 2)])
+reciprocal_second_powers = st.sampled_from([None, Fraction(1, 2), -1])
 reciprocal_floors = st.sampled_from([-16, -9, Fraction(-7, 2), -1, 0, 2])
 
 
@@ -150,15 +154,16 @@ reciprocal_floors = st.sampled_from([-16, -9, Fraction(-7, 2), -1, 0, 2])
     reciprocal_exponents,
     reciprocal_scales,
     reciprocal_shifts,
+    reciprocal_second_powers,
     reciprocal_floors,
     st.booleans(),
 )
-def test_reciprocal_relabelling_matches_horner(q, e, c, k, floor, truncated):
+def test_reciprocal_relabelling_matches_horner(q, e, c, k, s, floor, truncated):
     # At floor 2 the constant k, and w^e for e < 2, drop from nu itself.
-    nu = Gossamer(((e, c), (0, k)), floor=floor, truncated=truncated)
+    second = () if s is None else ((s * e, 1),)
+    nu = Gossamer(((e, c), (0, k)) + second, floor=floor, truncated=truncated)
     assume(nu.terms)
-    value = _reciprocal_relabel(q.coefficients, nu, *_monomial_plus_integer(nu.terms))
-    assert same_value(value, _horner(q.coefficients, nu.inverse()))
+    assert same_value(_at_reciprocal(q.coefficients, nu), _horner(q.coefficients, nu.inverse()))
 
 
 OFF_FORM = {

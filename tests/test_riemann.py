@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gossamer.riemann
@@ -25,8 +25,15 @@ from gossamer import (
     uniform_riemann_sum,
 )
 from gossamer.polynomial import _horner
-from gossamer.riemann import _bernoulli_prefix, _inverse, _scaled_integral
-from strategies import polynomials, same_value, small_rationals
+from gossamer.riemann import _bernoulli_prefix, _inverse, _power_sum_fold, _scaled_integral
+from strategies import (
+    point_polynomial,
+    polynomials,
+    same_value,
+    small_rationals,
+    sparse_or_dense,
+    width_polynomial,
+)
 
 X = Polynomial.parse("x")
 X2 = Polynomial.parse("x^2")
@@ -190,26 +197,13 @@ class TestUniformSum:
         assert (not value) or value.leading_exponent <= 0
 
 
-def width_polynomial(f):
-    """Q_f by the power-sum fold in ``Fraction``s: c_d*s_{d,m} into slot d + 1 - m."""
-    slots = [Fraction(0)] * (len(f.coefficients) + 1)
-    for degree, c in enumerate(f.coefficients):
-        if c:
-            for m, s in enumerate(faulhaber(degree).coefficients):
-                slots[degree + 1 - m] += c * s
-    return Polynomial(slots)
-
-
-# Sparse polynomials up to degree 81 whose coefficients carry Bernoulli-like
-# denominators, and dense ones of low degree.
-sparse_or_dense = st.one_of(
-    polynomials,
-    st.dictionaries(
-        st.integers(0, 81),
-        st.builds(Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 6, 30, 2730])),
-        max_size=4,
-    ).map(lambda c: Polynomial([c.get(d, 0) for d in range(max(c, default=-1) + 1)])),
-)
+@given(sparse_or_dense)
+@example(Polynomial())
+@example(Polynomial.constant(Fraction(-7, 3)))
+def test_power_sum_fold_matches_both_oracles(f):
+    # One fold: Q_f with the reflection, G without it.
+    assert _power_sum_fold(f.coefficients, faulhaber, reflect=True) == width_polynomial(f)
+    assert _power_sum_fold(f.coefficients, faulhaber, reflect=False) == point_polynomial(f)
 
 
 class TestReciprocalRead:
@@ -436,8 +430,16 @@ class TestConjectureProbe:
         with pytest.raises(ValueError):
             conjecture_probe(X2, [], 0)
 
-    # A sparse degree-20 f: at the default floor, -16, its Q_f would drop terms.
-    @pytest.mark.parametrize("f", [X2, Polynomial.parse("x^20 - 3/2*x^13 + 5*x^2 - 1")])
+    # Sparse f of degree 20 and 41: a series Q_f at the default floor, -16,
+    # would drop terms; Q_f read at 1/n keeps them all.
+    @pytest.mark.parametrize(
+        "f",
+        [
+            X2,
+            Polynomial.parse("x^20 - 3/2*x^13 + 5*x^2 - 1"),
+            Polynomial.parse("-7/6*x^41 + x^40 + 2/5*x^17 - x"),
+        ],
+    )
     @pytest.mark.parametrize(
         "partition", [[], [Fraction(2, 5)], [Fraction(1, 3), Fraction(1, 2), Fraction(7, 8)]]
     )
