@@ -328,9 +328,27 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_rationals(argv: Sequence[str]) -> list:
+    """``--opt -p/q`` as ``--opt=-p/q``: argparse reads a bare ``-1/2`` as an option."""
+    joined: list = []
+    for token in argv:
+        previous = joined[-1] if joined else ""
+        bare_option = previous.startswith("--") and previous != "--" and "=" not in previous
+        if bare_option and token.startswith("-"):
+            try:
+                Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                joined[-1] = f"{previous}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError

@@ -4,6 +4,7 @@ The sum over j of f(j/nu)*(1/nu) is never iterated: the power-sum
 closed forms fold it into one rational polynomial Q_f in the panel width
 1/nu (the Euler-Maclaurin form), evaluated once at 1/nu; its standard
 part, Q_f(0), is the integral and its lower-order terms the remainder.
+The fold adds integer numerators over one lcm of every denominator.
 At nu = c*w^e + k (k an integer) Q_f(1/nu) is read off Q_f's integer
 numerators by the binomial series of 1/nu, with no series inverse.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .core import Gossamer, Kind, RationalLike, ZeroMagnitudeError, omega
+from .core import Gossamer, Kind, RationalLike, ZeroMagnitudeError, _common_numerators, omega
 from .polynomial import Polynomial, _at_reciprocal
 
 __all__ = [
@@ -121,21 +122,27 @@ def _power_sum_fold(coefficients: tuple, row, reflect: bool) -> Polynomial:
     """sum_d c_d*S_d with S_d = row(d) (``faulhaber``): c_d*s_{d,m} in slot m gives G.
 
     Reflected, S_d's d + 2 coefficients reversed, it goes in slot d + 1 - m: Q_f.
+    The fold runs over integers: with c_d = a_d/b_d and S_d's numerators N_d
+    over their lcm D_d, a_d*(L/(b_d*D_d))*N_d goes into the slots, L the lcm
+    of every b_d*D_d, and each slot becomes one ``Fraction`` over L.
     """
-    slots = [Fraction(0)] * (len(coefficients) + 1)
-    for degree, c in enumerate(coefficients):
-        if c:
-            row_coefficients = row(degree).coefficients
-            for slot, s in enumerate(row_coefficients[::-1] if reflect else row_coefficients):
-                slots[slot] += c * s
-    return Polynomial._make(slots)
+    rows = [(c, *_common_numerators(row(degree).coefficients))
+            for degree, c in enumerate(coefficients) if c]
+    common = math.lcm(*[c.denominator * d for c, d, _ in rows])
+    slots = [0] * (len(coefficients) + 1)
+    for c, d, numerators in rows:
+        scale = c.numerator * (common // (c.denominator * d))
+        for slot, n in enumerate(numerators[::-1] if reflect else numerators):
+            slots[slot] += scale * n
+    return Polynomial._make([Fraction(s, common) for s in slots])
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:
     """Evaluate sum_{j=1}^{nu} f(j/nu)*(1/nu) exactly, as a polynomial Q_f in the width 1/nu.
 
     With S_d(n) = sum_m s_{d,m} n^m the sum is sum_d c_d S_d(nu)/nu^(d+1),
-    so Q_f has coefficients q_i = sum_{d >= i} c_d s_{d,d+1-i}.  At
+    so Q_f has coefficients q_i = sum_{d >= i} c_d s_{d,d+1-i}, summed as
+    integer numerators over one lcm (``_power_sum_fold``).  At
     nu = c*w^e + k, k an integer, 1/nu = t/(1 + k*t) with t = w^-e/c, and
     each term of Q_f(1/nu) is a binomial sum of Q_f's integer numerators;
     any other nu takes Horner's rule over ``nu.inverse()``.  Powers of 1/nu

@@ -6,8 +6,9 @@ evaluating symbolically.  G is certified at construction, never by
 summing the range: every ``ClosedFormSum`` checks that G telescopes to g
 over integers, by a Taylor shift of G's numerators over their lcm; the
 shift is the one ``polynomial`` uses to evaluate G at an infinite
-endpoint w + k.  ``prefix_sums_match``, G against running totals at
-deg g + 2 points, is the CLI's independent oracle.
+endpoint w + k.  G itself is the power-sum fold sum_d c_d*S_d, added as
+integer numerators over one lcm.  ``prefix_sums_match``, G against
+running totals at deg g + 2 points, is the CLI's independent oracle.
 """
 from __future__ import annotations
 
@@ -64,7 +65,11 @@ class ClosedFormSum:
 
 
 def indefinite_sum(g: Polynomial) -> ClosedFormSum:
-    """Closed form for sum_{k=1}^{n} g(k): the power-sum fold sum_d c_d*S_d, certified."""
+    """Closed form for sum_{k=1}^{n} g(k): the power-sum fold sum_d c_d*S_d, certified.
+
+    The fold adds integer numerators over one lcm and builds each of G's
+    coefficients once; the ``ClosedFormSum`` certificate still checks it.
+    """
     return ClosedFormSum(g, _power_sum_fold(g.coefficients, faulhaber, reflect=False))
 
 

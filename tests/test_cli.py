@@ -217,6 +217,31 @@ class TestVerify:
         assert excinfo.value.code == 2
 
 
+class TestNegativeRationalValues:
+    """A bare negative rational after an option reads as its value, as the ``=`` form does."""
+
+    FTC = ("ftc", "--poly", "x^2", "--x", "2")
+    SMOOTH = ("smooth", "--shape", "linear", "--json")
+    CASES = {
+        "ftc-h-exp": (FTC, ("--h-exp", "-1/2")),
+        "ftc-x": (("ftc", "--poly", "x^2"), ("--x", "-1/2")),
+        "ftc-a": (FTC, ("--a", "-3/4")),
+        "smooth-eps-exp": (SMOOTH, ("--eps-exp", "-3/2")),
+        "smooth-from": (SMOOTH, ("--from", "-1/2")),
+        "smooth-to": (SMOOTH + ("--from", "-3"), ("--to", "-1/2")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bare_value_matches_equals_form(self, case, heavyside_file, capsys):
+        head, (option, value) = self.CASES[case]
+        if head[0] == "smooth":
+            head = (*head, "--input", heavyside_file)
+        assert main([*head, f"{option}={value}"]) == 0
+        expected = capsys.readouterr().out
+        assert main([*head, option, value]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestEnvFloor:
     """The environment sets no floor: an ambient value cannot change an answer."""
 

@@ -200,10 +200,27 @@ class TestUniformSum:
 @given(sparse_or_dense)
 @example(Polynomial())
 @example(Polynomial.constant(Fraction(-7, 3)))
+@example(Polynomial.parse("1/101*x^3 - 2/103*x + 5/107"))  # pairwise coprime denominators, all in L
+@example(Polynomial.parse("x - 1/2"))  # q_0, the integral, cancels to an exact 0
+@example(Polynomial.parse("-5/6*x^81 + 7/30*x^2"))  # sparse, two terms up to degree 81
+@example(Polynomial.parse("-x^4 - 2/3*x^2 - 5/7"))  # every coefficient negative
 def test_power_sum_fold_matches_both_oracles(f):
     # One fold: Q_f with the reflection, G without it.
     assert _power_sum_fold(f.coefficients, faulhaber, reflect=True) == width_polynomial(f)
     assert _power_sum_fold(f.coefficients, faulhaber, reflect=False) == point_polynomial(f)
+
+
+@given(sparse_or_dense, st.booleans())
+def test_power_sum_fold_reads_each_row_once_in_ascending_degree(f, reflect):
+    # perfbench's riemann.faulhaber_calls counts these calls.
+    calls = []
+
+    def counting_faulhaber(degree):
+        calls.append(degree)
+        return faulhaber(degree)
+
+    _power_sum_fold(f.coefficients, counting_faulhaber, reflect)
+    assert calls == [degree for degree, c in enumerate(f.coefficients) if c]
 
 
 class TestReciprocalRead:
