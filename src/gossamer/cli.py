@@ -314,8 +314,9 @@ def _cmd_pipeline(args) -> int:
         "remainder": str(trace.remainder),
         "remainder_negligible": trace.remainder_negligible,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0 if trace.remainder_negligible else 1
+    _emit(payload, True, ())
+    # None (a nonzero remainder against a zero integral) is no failure.
+    return 1 if trace.remainder_negligible is False else 0
 
 
 _COMMANDS = {
@@ -328,27 +329,26 @@ _COMMANDS = {
 }
 
 
-def _attach_negative_rationals(argv: Sequence[str]) -> list:
-    """``--opt -p/q`` as ``--opt=-p/q``: argparse reads a bare ``-1/2`` as an option."""
+def _attach_negative_values(argv: Sequence[str]) -> list:
+    """``--opt -v`` as ``--opt=-v``: argparse reads a bare ``-1/2`` or ``-x^2`` as an option.
+
+    Every single-dash token but ``-h`` joins a bare ``--opt`` before it:
+    the parser defines no other short option.
+    """
     joined: list = []
     for token in argv:
         previous = joined[-1] if joined else ""
         bare_option = previous.startswith("--") and previous != "--" and "=" not in previous
-        if bare_option and token.startswith("-"):
-            try:
-                Fraction(token)
-            except (ValueError, ZeroDivisionError):
-                pass
-            else:
-                joined[-1] = f"{previous}={token}"
-                continue
+        if bare_option and token.startswith("-") and not token.startswith("--") and token != "-h":
+            joined[-1] = f"{previous}={token}"
+            continue
         joined.append(token)
     return joined
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError

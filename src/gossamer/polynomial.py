@@ -2,7 +2,8 @@
 
 Polynomials evaluate over rationals or gossamer numbers alike, which is
 what lets an accumulation function be probed with an infinitesimal
-increment and differentiated exactly.
+increment and differentiated exactly.  Text in and out is the term
+grammar of ``parsing`` in one variable letter, with integer degrees.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
 from .core import Gossamer, Kind, RationalLike, _common_numerators, _require_infinitesimal
-from .parsing import ParseError, match_term, split_terms
+from .parsing import ParseError, read_terms, write_terms
 
 __all__ = [
     "FtcInverseCheck",
@@ -75,30 +76,18 @@ class Polynomial:
 
         Exponents above ``MAX_PARSE_DEGREE`` raise ParseError.
         """
-        seen_symbol = None
-        terms: list[tuple[int, Fraction]] = []
-        for sign, chunk, position in split_terms(text):
-            coeff, symbol, exponent = match_term(chunk, position)
-            if symbol is None:
-                terms.append((0, sign * coeff))
-                continue
-            if seen_symbol is None:
-                seen_symbol = symbol
-            elif symbol != seen_symbol:
-                raise ParseError(
-                    f"mixed variables {seen_symbol!r} and {symbol!r}", position
-                )
-            if exponent is None:
-                exponent = Fraction(1)
+        variable = None
+        coeffs: dict = {}
+        for coeff, symbol, exponent, position in read_terms(text):
+            if symbol and variable and symbol != variable:
+                raise ParseError(f"mixed variables {variable!r} and {symbol!r}", position)
+            variable = variable or symbol
             if exponent.denominator != 1 or exponent < 0:
                 raise ParseError("polynomial exponents must be non-negative integers", position)
             if exponent > MAX_PARSE_DEGREE:
                 raise ParseError(f"polynomial degree above {MAX_PARSE_DEGREE}", position)
-            terms.append((int(exponent), sign * (coeff if coeff is not None else Fraction(1))))
-        coeffs = [Fraction(0)] * (max(d for d, _ in terms) + 1)
-        for degree, coefficient in terms:
-            coeffs[degree] += coefficient
-        return cls(coeffs)
+            coeffs[int(exponent)] = coeffs.get(int(exponent), 0) + coeff
+        return cls(coeffs.get(d, 0) for d in range(max(coeffs) + 1))
 
     @property
     def degree(self) -> int:
@@ -221,23 +210,8 @@ class Polynomial:
     # -- rendering ------------------------------------------------------
 
     def to_text(self, var: str = "x") -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for degree in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[degree]
-            if not c:
-                continue
-            if degree == 0:
-                body = str(abs(c))
-            else:
-                unit = var if degree == 1 else f"{var}^{degree}"
-                body = unit if abs(c) == 1 else f"{abs(c)}*{unit}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        nonzero = [(d, c) for d, c in enumerate(self.coefficients) if c]
+        return write_terms(reversed(nonzero), var)
 
     def __str__(self) -> str:
         return self.to_text()

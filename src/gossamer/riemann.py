@@ -232,7 +232,7 @@ class PipelineStage(NamedTuple):
 class PipelineTrace(NamedTuple):
     stages: tuple[PipelineStage, ...]
     remainder: Gossamer
-    remainder_negligible: bool
+    remainder_negligible: Optional[bool]
 
 
 def definite_to_sum_pipeline(f: Polynomial, nu: Optional[Gossamer] = None) -> PipelineTrace:
@@ -240,7 +240,9 @@ def definite_to_sum_pipeline(f: Polynomial, nu: Optional[Gossamer] = None) -> Pi
 
     Stages 1-3 are the integral in its plain, substituted and
     scaled-out forms and agree exactly; stage 4 is the sum, which
-    differs by a remainder negligible against the rest.
+    differs by a remainder negligible against the rest.  The verdict is
+    True for a zero remainder and None for a nonzero one against a zero
+    integral, which it cannot be negligible against.
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
@@ -255,7 +257,12 @@ def definite_to_sum_pipeline(f: Polynomial, nu: Optional[Gossamer] = None) -> Pi
         PipelineStage(4, "sum_{j=1}^{nu} f(j/nu) (1/nu)", total),
     )
     remainder = total - scaled
-    negligible = (not remainder) or (not scaled) or remainder.much_less(scaled)
+    if not remainder:
+        negligible = True
+    elif not scaled:
+        negligible = None
+    else:
+        negligible = remainder.much_less(scaled)
     return PipelineTrace(stages, remainder, negligible)
 
 

@@ -189,6 +189,14 @@ class TestPipeline:
         assert main(["pipeline", "--poly", "x^2", "--nu-exp", nu_exp]) == 2
         assert option_error(capsys).startswith("error: --nu-exp must be positive")
 
+    def test_zero_integral_prints_null_and_exits_0(self, capsys):
+        # No verdict is no failure: the remainder is printed, the exit is 0.
+        assert main(["pipeline", "--poly", "x - 1/2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["stages"][2]["value"] == "0"
+        assert data["remainder"] == "1/2*w^-1"
+        assert data["remainder_negligible"] is None
+
 
 class TestVerify:
     def test_passes(self, capsys):
@@ -218,7 +226,7 @@ class TestVerify:
 
 
 class TestNegativeRationalValues:
-    """A bare negative rational after an option reads as its value, as the ``=`` form does."""
+    """A bare negative value after an option, a rational or an expression, reads as its ``=`` form."""
 
     FTC = ("ftc", "--poly", "x^2", "--x", "2")
     SMOOTH = ("smooth", "--shape", "linear", "--json")
@@ -229,6 +237,11 @@ class TestNegativeRationalValues:
         "smooth-eps-exp": (SMOOTH, ("--eps-exp", "-3/2")),
         "smooth-from": (SMOOTH, ("--from", "-1/2")),
         "smooth-to": (SMOOTH + ("--from", "-3"), ("--to", "-1/2")),
+        "riemann-poly": (("riemann", "--json"), ("--poly", "-x^2")),
+        "pipeline-poly": (("pipeline",), ("--poly", "-x^3 + x")),
+        "ftc-poly": (("ftc", "--x", "2"), ("--poly", "-1/2*x^2")),
+        "sum-term": (("sum", "--from", "1", "--to", "3"), ("--term", "-k^2")),
+        "sum-from": (("sum", "--term", "k", "--to", "-1"), ("--from", "-w")),
     }
 
     @pytest.mark.parametrize("case", CASES)

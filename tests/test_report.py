@@ -3,7 +3,14 @@ import hashlib
 
 import pytest
 
-from gossamer import CaseResult, SUITE_NAMES, VerificationReport, run_suite
+from gossamer import (
+    CaseResult,
+    Polynomial,
+    SUITE_NAMES,
+    VerificationReport,
+    definite_to_sum_pipeline,
+    run_suite,
+)
 
 
 class TestRunSuite:
@@ -40,6 +47,16 @@ class TestRunSuite:
         assert len(probe) == 1
         assert probe[0].passed  # report-only: never a failing assertion
         assert "gap=" in probe[0].actual
+
+    def test_riemann_pipeline_check_at_a_zero_integral(self):
+        # Case 68 at seed 1 draws an f whose integral over [0, 1] is 0: the
+        # pipeline gives no verdict there, and the check expects exactly that.
+        report = run_suite("riemann", seed=1, cases=69)
+        case = next(c for c in report.cases if c.id == "riemann-0068")
+        f = Polynomial.parse(case.inputs.split(";")[0].removeprefix("f="))
+        assert f.integrate(0, 1) == 0
+        assert definite_to_sum_pipeline(f).remainder_negligible is None
+        assert case.passed
 
 
 # sha256 of run_suite(name, seed=0, cases=25).to_json().  Reports are exact,

@@ -388,6 +388,20 @@ class TestPipeline:
         trace = definite_to_sum_pipeline(ONE)
         assert all(stage.value == 1 for stage in trace.stages)
         assert trace.remainder == 0
+        assert trace.remainder_negligible is True
+
+    @pytest.mark.parametrize("nu", [omega(), omega(2)], ids=["w", "w^2"])
+    def test_zero_integral_has_no_verdict(self, nu):
+        # The remainder 1/2*nu^-1 has nothing to be negligible against.
+        trace = definite_to_sum_pipeline(Polynomial.parse("x - 1/2"), nu)
+        assert trace.stages[2].value == 0
+        assert trace.remainder == Fraction(1, 2) * nu.inverse()
+        assert trace.remainder_negligible is None
+
+    def test_zero_polynomial_is_negligible(self):
+        trace = definite_to_sum_pipeline(Polynomial())
+        assert trace.remainder == 0
+        assert trace.remainder_negligible is True
 
     def test_stage_numbering(self):
         trace = definite_to_sum_pipeline(X)
@@ -399,7 +413,8 @@ class TestPipeline:
         trace = definite_to_sum_pipeline(f)
         assert trace.stages[3].value.standard_part() == trace.stages[0].value.standard_part()
         assert trace.stages[0].value == trace.stages[1].value == trace.stages[2].value
-        assert trace.remainder_negligible
+        verdict = None if trace.remainder and not f.integrate(0, 1) else True
+        assert trace.remainder_negligible is verdict
 
 
 class TestDivergentIntegral:
