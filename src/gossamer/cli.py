@@ -34,7 +34,7 @@ from .sums import prefix_sums_match, sum_ftc
 
 USAGE_EXIT = 2
 
-# The most CSV rows `smooth --samples` writes; each row is one pass over the breakpoints.
+# The most CSV rows `smooth --samples` writes; each row is one bisection over the bridges.
 MAX_SAMPLES = 100_000
 
 _SHAPE_ALIASES = {

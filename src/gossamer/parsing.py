@@ -44,28 +44,30 @@ def split_terms(text: str) -> list[tuple[int, str, int]]:
 
     A +/- is an operator only when some term content precedes it and the
     last significant character is not ^, * or / (so "w^-1" and "-2" stay
-    intact).
+    intact).  A term's position is that of its first non-space character.
     """
     terms: list[tuple[int, str, int]] = []
     sign = 1
-    start = 0
+    start = first = 0
     prev = ""
     content = False
     for i, ch in enumerate(text):
         if ch in "+-" and content and prev not in "^*/":
-            terms.append((sign, text[start:i].strip(), start))
+            terms.append((sign, text[start:i].strip(), first))
             sign = 1 if ch == "+" else -1
             start = i + 1
             prev = ""
             content = False
             continue
         if not ch.isspace():
+            if not content:
+                first = i
             prev = ch
             content = True
     tail = text[start:].strip()
     if not tail:
         raise ParseError("dangling operator" if terms else "empty expression", start)
-    terms.append((sign, tail, start))
+    terms.append((sign, tail, first))
     return terms
 
 

@@ -4,7 +4,9 @@ The sum over j of f(j/nu)*(1/nu) is never iterated: the power-sum
 closed forms fold it into one rational polynomial Q_f in the panel width
 1/nu (the Euler-Maclaurin form), evaluated once at 1/nu; its standard
 part, Q_f(0), is the integral and its lower-order terms the remainder.
-The fold adds integer numerators over one lcm of every denominator.
+The fold adds integer numerators over one lcm of every denominator of
+the cached ``faulhaber`` rows, whose Bernoulli numbers come cached from
+their defining recurrence.
 At nu = c*w^e + k (k an integer) Q_f(1/nu) is read off Q_f's integer
 numerators by the binomial series of 1/nu, with no series inverse.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
@@ -39,44 +41,19 @@ __all__ = [
 ]
 
 
-def _bernoulli_cache():
-    """B_0, B_1, ... (Akiyama-Tanigawa, so B_1 = +1/2), grown one entry at a time.
-
-    It keeps one list of numbers and one working row, whatever the longest
-    request; ``cache_clear`` starts over, as it does for ``faulhaber``.
-    """
-    numbers: list[Fraction] = []
-    work: list[Fraction] = []
-
-    def prefix(n: int) -> list[Fraction]:
-        """The shared list B_0..B_m for some m >= n."""
-        for m in range(len(numbers), n + 1):
-            work.append(Fraction(1, m + 1))
-            for j in range(m, 0, -1):
-                work[j - 1] = j * (work[j - 1] - work[j])
-            numbers.append(work[0])
-        return numbers
-
-    def cache_clear() -> None:
-        numbers.clear()
-        work.clear()
-
-    prefix.cache_clear = cache_clear
-    return prefix
-
-
-_bernoulli_prefix = _bernoulli_cache()
-
-
+@lru_cache(maxsize=None)
 def bernoulli_number(m: int) -> Fraction:
-    """Bernoulli number B_m with B_1 = +1/2.
+    """Bernoulli number B_m with B_1 = +1/2, cached.
 
+    B_m solves sum_{k=0}^{m} C(m+1, k)*B_k = m + 1 over the cached B_k,
+    k < m, asked for in ascending k, so a cold call recurses one level.
     That sign convention makes the power-sum closed forms include the
     upper endpoint, matching sums of the form sum_{k=1}^{n}.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _bernoulli_prefix(m)[m]
+    lower = sum(math.comb(m + 1, k) * bernoulli_number(k) for k in range(m))
+    return Fraction(m + 1 - lower, m + 1)
 
 
 @lru_cache(maxsize=None)
@@ -85,9 +62,8 @@ def faulhaber(p: int) -> Polynomial:
     if p < 0:
         raise ValueError("p must be >= 0")
     coeffs = [Fraction(0)] * (p + 2)
-    numbers = _bernoulli_prefix(p)
     for j in range(p + 1):
-        coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * numbers[j]
+        coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * bernoulli_number(j)
     return Polynomial(coeffs)
 
 

@@ -149,6 +149,20 @@ def _require_positive_infinitesimal(eps: Gossamer) -> None:
         )
 
 
+def _locate(breakpoints: Sequence, x, eps) -> Tuple[int, Union[Gossamer, float, None]]:
+    """``(i, t)``: x in bridge i, (q_i - eps, q_i + eps], at fraction t; t None on run i.
+
+    Bridges are disjoint and sorted, so one bisection finds the first
+    bridge x does not lie past.  x and eps are both exact or both floats.
+    """
+    i = bisect_left(breakpoints, x, key=lambda q: q + eps)
+    if i < len(breakpoints):
+        lower = breakpoints[i] - eps
+        if x > lower:
+            return i, (x - lower) / (2 * eps)
+    return i, None
+
+
 @dataclass(frozen=True)
 class SmoothedFunction:
     """A step function with each jump replaced by an interpolant on (q-eps, q+eps]."""
@@ -166,17 +180,12 @@ class SmoothedFunction:
         """Exact value, including inside bridges; continuous across every boundary."""
         if not isinstance(x, Gossamer):
             x = Gossamer.from_rational(Fraction(x), floor=self.halfwidth.truncation_floor)
-        eps = self.halfwidth
-        breakpoints, levels = self.base.breakpoints, self.base.levels
-        # Bridges are disjoint and sorted: x lies past every bridge before i.
-        i = bisect_left(breakpoints, x, key=lambda q: q + eps)
-        if i < len(breakpoints):
-            lower = breakpoints[i] - eps
-            if x.compare(lower) > 0:
-                t = (x - lower) / (2 * eps)
-                rise = levels[i + 1] - levels[i]
-                return levels[i] + rise * SHAPE_POLYNOMIALS[self.bridge_shape].evaluate(t)
-        return Gossamer.from_rational(levels[i], floor=eps.truncation_floor)
+        levels = self.base.levels
+        i, t = _locate(self.base.breakpoints, x, self.halfwidth)
+        if t is None:
+            return Gossamer.from_rational(levels[i], floor=self.halfwidth.truncation_floor)
+        rise = levels[i + 1] - levels[i]
+        return levels[i] + rise * SHAPE_POLYNOMIALS[self.bridge_shape].evaluate(t)
 
 
 def smooth(
@@ -187,7 +196,7 @@ def smooth(
     Bridges cannot overlap: eps is infinitesimal while breakpoint gaps
     are real.
     """
-    return SmoothedFunction(f, BridgeShape(shape), eps)
+    return SmoothedFunction(f, shape, eps)
 
 
 def smoothed_area(f2: SmoothedFunction, a: RationalLike, b: RationalLike) -> Gossamer:
@@ -288,16 +297,8 @@ def sample_curve(
         interp = poly.evaluate
     breakpoints = [float(q) for q in step.breakpoints]
     levels = [float(y) for y in step.levels]
-    out = []
-    for x in xs:
-        for i, q in enumerate(breakpoints):
-            if x <= q - halfwidth:
-                out.append(levels[i])
-                break
-            if x <= q + halfwidth:
-                t = (x - (q - halfwidth)) / (2.0 * halfwidth)
-                out.append(levels[i] + (levels[i + 1] - levels[i]) * float(interp(t)))
-                break
-        else:
-            out.append(levels[-1])
-    return out
+    located = (_locate(breakpoints, x, halfwidth) for x in xs)
+    return [
+        levels[i] if t is None else levels[i] + (levels[i + 1] - levels[i]) * float(interp(t))
+        for i, t in located
+    ]

@@ -152,7 +152,8 @@ def sum_to_integral_bridge(g: Polynomial, a: int, b: int) -> SumBridge:
     """Realize sum_{k=a}^{b} g(k) as the area of a step of height g(k) on [k, k+1).
 
     The continuous representation of the step lives in the smoothing
-    module; here only the exact area bookkeeping is checked.
+    module; here the step's exact area is checked against the closed
+    form ``sum_ftc(g, a, b)``.
     """
     if a > b:
         raise ValueError(f"empty range: {a} > {b}")
@@ -162,4 +163,4 @@ def sum_to_integral_bridge(g: Polynomial, a: int, b: int) -> SumBridge:
         (Fraction(0), *heights, Fraction(0)),
     )
     integral = step.area(Fraction(a), Fraction(b + 1))
-    return SumBridge(step, integral, integral == sum(heights, Fraction(0)))
+    return SumBridge(step, integral, sum_ftc(g, a, b).value == integral)

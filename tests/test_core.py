@@ -49,6 +49,16 @@ class TestMul:
     def test_monomials(self):
         assert g("2*w") * g("3*w^2") == g("6*w^3")
 
+    def test_powers(self):
+        assert g("2*w") ** 3 == g("8*w^3")
+        assert W ** -2 == omega(-2)
+        assert (1 + H) ** Fraction(-1) == (1 + H).inverse()
+        # A unit monomial takes any rational power; nothing else does.
+        assert omega(3) ** Fraction(2, 3) == omega(2)
+        for base in (g("2*w"), W + 1):
+            with pytest.raises(ValueError, match="unit-coefficient monomials"):
+                base ** Fraction(1, 2)
+
     def test_drop_below_floor_sets_flag(self):
         deep = omega(-9)
         product = deep * deep  # w^-18 < default floor -16
@@ -105,6 +115,8 @@ class TestInverse:
 
     def test_division_operator(self):
         assert (1 + H) / H == W + 1
+        assert 1 / H == W
+        assert Fraction(1, 2) / (2 * W) == Fraction(1, 4) * H
 
 
 class TestCompare:
@@ -146,10 +158,13 @@ class TestMagnitudeRelations:
             Gossamer().much_less(H)
         with pytest.raises(ZeroMagnitudeError):
             H.much_less(Gossamer())
+        with pytest.raises(ZeroMagnitudeError):
+            Gossamer().leading_coefficient
 
     def test_asymptotic_examples(self):
         assert g("w + 1").asymptotic_to(g("w - 5"))
         assert not g("2*w").asymptotic_to(W)
+        assert g("2*w").leading_coefficient == 2 != W.leading_coefficient
         # Leading terms of the x^2 sum value and its standard part agree.
         assert g("1/3 + 1/2*w^-1").asymptotic_to(g("1/3"))
 
@@ -230,7 +245,7 @@ class TestTextForm:
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError) as excinfo:
             Gossamer.parse("1 + ^2")
-        assert "position 3" in str(excinfo.value)
+        assert "position 4" in str(excinfo.value)
 
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ParseError):

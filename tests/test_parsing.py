@@ -17,18 +17,19 @@ def test_polynomial_text_round_trip_in_any_letter(p, var):
 
 # (parser, text, message, position): every ParseError either grammar raises.
 PARSE_ERRORS = [
-    (Polynomial, "x^2 + k", "mixed variables 'x' and 'k'", 5),
-    (Polynomial, "x - 2*y^3", "mixed variables 'x' and 'y'", 3),
+    (Polynomial, "x^2 + k", "mixed variables 'x' and 'k'", 6),
+    (Polynomial, "x - 2*y^3", "mixed variables 'x' and 'y'", 4),
     (Gossamer, "2*z^3", "unexpected symbol 'z': expected 'w'", 0),
-    (Gossamer, "1 + x", "unexpected symbol 'x': expected 'w'", 3),
+    (Gossamer, "1 + x", "unexpected symbol 'x': expected 'w'", 4),
+    (Gossamer, "  x", "unexpected symbol 'x': expected 'w'", 2),
     (Polynomial, "x^1/2", "polynomial exponents must be non-negative integers", 0),
-    (Polynomial, "3 + x^-1", "polynomial exponents must be non-negative integers", 3),
+    (Polynomial, "3 + x^-1", "polynomial exponents must be non-negative integers", 4),
     (Polynomial, "x^101", "polynomial degree above 100", 0),
     (Gossamer, "1 +", "dangling operator", 3),
     (Polynomial, "x^2 -", "dangling operator", 5),
-    (Gossamer, "1 + ^2", "expected a term such as '3/2', 'w' or '2*w^-1', got '^2'", 3),
-    (Polynomial, "1 + ^2", "expected a term such as '3/2', 'w' or '2*w^-1', got '^2'", 3),
-    (Polynomial, "x + 1 - - ", "expected a term such as '3/2', 'w' or '2*w^-1', got '-'", 7),
+    (Gossamer, "1 + ^2", "expected a term such as '3/2', 'w' or '2*w^-1', got '^2'", 4),
+    (Polynomial, "1 + ^2", "expected a term such as '3/2', 'w' or '2*w^-1', got '^2'", 4),
+    (Polynomial, "x + 1 - - ", "expected a term such as '3/2', 'w' or '2*w^-1', got '-'", 8),
     (Gossamer, "2^3", "expected a symbol before '^'", 0),
     (Polynomial, "2*", "expected '*' to join a coefficient and a symbol", 0),
     (Gossamer, "*w", "expected '*' to join a coefficient and a symbol", 0),

@@ -207,6 +207,8 @@ class TestDerivative:
 
     def test_quadratic(self):
         assert Polynomial.parse("x^2 + 2*x").derivative() == Polynomial.parse("2*x + 2")
+        assert (Polynomial.parse("x + 1") ** 2).derivative() == Polynomial.parse("2*x + 2")
+        assert X2 ** 0 == Polynomial.constant(1)
 
 
 class TestAntiderivative:
@@ -336,6 +338,8 @@ class TestTextForm:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ParseError):
             Polynomial.parse("x^-1")
+        with pytest.raises(ValueError, match="negative polynomial powers"):
+            X2 ** -1
 
 
 # -- invariants -------------------------------------------------------------

@@ -25,7 +25,7 @@ from gossamer import (
     uniform_riemann_sum,
 )
 from gossamer.polynomial import _horner
-from gossamer.riemann import _bernoulli_prefix, _inverse, _power_sum_fold, _scaled_integral
+from gossamer.riemann import _inverse, _power_sum_fold, _scaled_integral
 from strategies import (
     point_polynomial,
     polynomials,
@@ -86,8 +86,8 @@ class TestBernoulli:
         order = [5, 0, 33, 12, 81, 1, 40]
         for cold in (False, True):
             if cold:
-                _bernoulli_prefix.cache_clear()
-                assert len(_bernoulli_prefix(0)) == 1  # started over
+                bernoulli_number.cache_clear()
+                assert bernoulli_number.cache_info().currsize == 0  # started over
             assert [bernoulli_number(m) for m in order] == [alone(m) for m in order]
         assert bernoulli_number(12) == Fraction(-691, 2730)
 
@@ -96,7 +96,7 @@ class TestBernoulli:
         for value in list(vars(gossamer.riemann).values()):
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
-        assert len(_bernoulli_prefix(0)) == 1
+        assert bernoulli_number.cache_info().currsize == 0
         assert faulhaber(12).coefficients[1] == Fraction(-691, 2730)
 
 
@@ -337,6 +337,8 @@ class TestIntegrability:
         # At j=1 the panel integral of x^2 is 7/(3 nu^2) against the
         # sample 1/nu^2: same order, different leading coefficient.
         assert not panel_asymptotic(X2, omega(), Gossamer.from_rational(1))
+        # A zero integrand still ties there: panel integral and sample are both zero.
+        assert panel_asymptotic(Polynomial(), omega(), Gossamer.from_rational(1))
 
     @pytest.mark.parametrize("nu", COUNTS.values(), ids=COUNTS.keys())
     def test_panel_condition_at_other_counts(self, nu):

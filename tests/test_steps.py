@@ -22,7 +22,7 @@ from gossamer import (
     transfer_to_real,
     trapezoid_discontinuity_budget,
 )
-from gossamer.steps import LOGISTIC_SHAPE, SHAPE_POLYNOMIALS
+from gossamer.steps import LOGISTIC_SHAPE, SHAPE_POLYNOMIALS, _logistic
 from strategies import step_functions
 
 EPS = omega(-1)
@@ -310,3 +310,36 @@ def test_bridge_continuity(step, shape):
 @given(step_functions())
 def test_json_round_trip(step):
     assert StepFunction.from_json(step.to_json()) == step
+
+
+def scan_samples(step, shape, halfwidth, xs):
+    """Oracle: a linear scan over every breakpoint for each sample."""
+    interp = _logistic if shape == LOGISTIC_SHAPE else SHAPE_POLYNOMIALS[BridgeShape(shape)].evaluate
+    breakpoints = [float(q) for q in step.breakpoints]
+    levels = [float(y) for y in step.levels]
+    out = []
+    for x in xs:
+        for i, q in enumerate(breakpoints):
+            if x <= q - halfwidth:
+                out.append(levels[i])
+                break
+            if x <= q + halfwidth:
+                t = (x - (q - halfwidth)) / (2.0 * halfwidth)
+                out.append(levels[i] + (levels[i + 1] - levels[i]) * float(interp(t)))
+                break
+        else:
+            out.append(levels[-1])
+    return out
+
+
+@given(
+    step_functions(),
+    st.sampled_from(SHAPES + (LOGISTIC_SHAPE,)),
+    st.sampled_from([0.01, 0.05, 0.25, 1 / 3]),
+    st.lists(st.floats(-40, 40), max_size=8),
+)
+def test_sample_curve_matches_the_breakpoint_scan(step, shape, halfwidth, extra):
+    # Every bridge edge q +- hw exactly, its midpoint, and free points.
+    edges = [float(q) + d for q in step.breakpoints for d in (-halfwidth, 0.0, halfwidth)]
+    xs = edges + extra
+    assert sample_curve(step, shape, halfwidth, xs) == scan_samples(step, shape, halfwidth, xs)

@@ -253,6 +253,18 @@ class TestBridge:
         with pytest.raises(ValueError):
             sum_to_integral_bridge(K, 2, 1)
 
+    def test_area_is_checked_against_the_closed_form(self, monkeypatch):
+        exact = gossamer.sums.sum_ftc
+
+        def off_by_one(g, a, b):
+            result = exact(g, a, b)
+            return result._replace(value=result.value + 1)
+
+        monkeypatch.setattr(gossamer.sums, "sum_ftc", off_by_one)
+        result = sum_to_integral_bridge(K2, 2, 4)
+        assert result.integral == 29
+        assert not result.equal
+
     @given(small_polys, st.integers(-10, 10), st.integers(0, 8))
     def test_bridge_matches_sum(self, g, a, width):
         result = sum_to_integral_bridge(g, a, a + width)
