@@ -1,12 +1,11 @@
 """Uniform Riemann sums and scaled integrals in closed form at an infinite count.
 
-The sum over j of f(j/nu)*(1/nu) is never iterated: the power-sum
-closed forms fold it into one rational polynomial Q_f in the panel width
-1/nu (the Euler-Maclaurin form), evaluated once at 1/nu; its standard
-part, Q_f(0), is the integral and its lower-order terms the remainder.
-The fold adds integer numerators over one lcm of every denominator of
-the cached ``faulhaber`` rows, whose Bernoulli numbers come cached from
-their defining recurrence.
+The sum over j of f(j/nu)*(1/nu) is never iterated: it is one rational
+polynomial Q_f in the panel width 1/nu, the Euler-Maclaurin form,
+evaluated once at 1/nu; its standard part, Q_f(0), is the integral and
+its lower-order terms the remainder.  Q_f's coefficients come from f's
+integer numerators and the cached Bernoulli numbers, which solve their
+defining recurrence; the ``faulhaber`` rows serve the sums module.
 At nu = c*w^e + k (k an integer) Q_f(1/nu) is read off Q_f's integer
 numerators by the binomial series of 1/nu, with no series inverse.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
@@ -18,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .core import Gossamer, Kind, RationalLike, ZeroMagnitudeError, _common_numerators, omega
 from .polynomial import Polynomial, _at_reciprocal
@@ -94,31 +93,32 @@ def _inverse(nu: Gossamer) -> Gossamer:
     return Gossamer(nu.terms, floor=deep, truncated=nu.truncated).inverse()
 
 
-def _power_sum_fold(coefficients: tuple, row, reflect: bool) -> Polynomial:
-    """sum_d c_d*S_d with S_d = row(d) (``faulhaber``): c_d*s_{d,m} in slot m gives G.
+def _width_polynomial(coefficients: tuple) -> Polynomial:
+    """Q_f, the Euler-Maclaurin polynomial of f in the panel width.
 
-    Reflected, S_d's d + 2 coefficients reversed, it goes in slot d + 1 - m: Q_f.
-    The fold runs over integers: with c_d = a_d/b_d and S_d's numerators N_d
-    over their lcm D_d, a_d*(L/(b_d*D_d))*N_d goes into the slots, L the lcm
-    of every b_d*D_d, and each slot becomes one ``Fraction`` over L.
+    q_0 = integral_0^1 f and, for i >= 1,
+    q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)) = B_i*sum_{d >= i} c_d*C(d, i-1)/i.
+    With c_d = a_d/L over one lcm L, q_0 is one ``Fraction`` over L times the
+    lcm of the d + 1, and each q_i one ``Fraction`` over B_i's denominator
+    times i*L; odd i >= 3 have B_i = 0.
     """
-    rows = [(c, *_common_numerators(row(degree).coefficients))
-            for degree, c in enumerate(coefficients) if c]
-    common = math.lcm(*[c.denominator * d for c, d, _ in rows])
-    slots = [0] * (len(coefficients) + 1)
-    for c, d, numerators in rows:
-        scale = c.numerator * (common // (c.denominator * d))
-        for slot, n in enumerate(numerators[::-1] if reflect else numerators):
-            slots[slot] += scale * n
-    return Polynomial._make([Fraction(s, common) for s in slots])
+    common, numerators = _common_numerators(coefficients)
+    terms = [(d, a) for d, a in enumerate(numerators) if a]
+    spans = math.lcm(*[d + 1 for d, _ in terms])
+    q = [Fraction(sum(a * (spans // (d + 1)) for d, a in terms), spans * common)]
+    for i in range(1, len(coefficients)):
+        b = bernoulli_number(i)
+        moment = sum(a * math.comb(d, i - 1) for d, a in terms if d >= i) if b else 0
+        q.append(Fraction(b.numerator * moment, b.denominator * i * common))
+    return Polynomial._make(q)
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:
     """Evaluate sum_{j=1}^{nu} f(j/nu)*(1/nu) exactly, as a polynomial Q_f in the width 1/nu.
 
-    With S_d(n) = sum_m s_{d,m} n^m the sum is sum_d c_d S_d(nu)/nu^(d+1),
-    so Q_f has coefficients q_i = sum_{d >= i} c_d s_{d,d+1-i}, summed as
-    integer numerators over one lcm (``_power_sum_fold``).  At
+    Q_f is the Euler-Maclaurin polynomial: q_0 is the integral of f over
+    [0, 1] and q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)), B_1 = +1/2, built
+    from f's integer numerators over one lcm (``_width_polynomial``).  At
     nu = c*w^e + k, k an integer, 1/nu = t/(1 + k*t) with t = w^-e/c, and
     each term of Q_f(1/nu) is a binomial sum of Q_f's integer numerators;
     any other nu takes Horner's rule over ``nu.inverse()``.  Powers of 1/nu
@@ -127,7 +127,7 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
-    q_f = _power_sum_fold(f.coefficients, faulhaber, reflect=True)
+    q_f = _width_polynomial(f.coefficients)
     return UniformRiemannSum(f, nu, _at_reciprocal(q_f.coefficients, nu))
 
 
@@ -182,15 +182,17 @@ def integrability_check(f: Polynomial, nu: Optional[Gossamer] = None) -> bool:
     return riemann_remainder(uniform_riemann_sum(f, nu)).valid
 
 
-def panel_asymptotic(f: Polynomial, nu: Gossamer, j: Gossamer) -> bool:
+def panel_asymptotic(f: Polynomial, nu: Gossamer, j: Union[RationalLike, Gossamer]) -> bool:
     """Single-panel comparison: integral of f(x/nu) over [j, j+1] against f(j/nu).
 
     The integral is nu*F(x/nu) at j+1 minus at j, F the antiderivative.
     It holds for infinite j but can fail for finite j, where the panel
     integral and the sample have equal order yet different leading
-    coefficients; report-only, never asserted globally.
+    coefficients; report-only, never asserted globally.  A rational j is
+    taken as its constant series.
     """
     _require_infinite(nu)
+    j = j if isinstance(j, Gossamer) else Gossamer.from_rational(Fraction(j))
     inv_nu = _inverse(nu)
     integral = _scaled_integral(f, inv_nu, j, j + 1).realize(nu.truncation_floor)
     sample = f.evaluate(j * inv_nu)
@@ -268,8 +270,8 @@ def conjecture_probe(
     """Exact uniform n-panel sum against n panels on each piece of a partition.
 
     The refined sum is the uniform sum of sum_pieces (hi - lo)*f(lo + (hi - lo)y),
-    and each is its polynomial Q in the width, as in ``uniform_riemann_sum``,
-    read at 1/n.  Reported, never asserted.
+    and each is its Euler-Maclaurin polynomial Q in the width, as in
+    ``uniform_riemann_sum``, read at 1/n.  Reported, never asserted.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an int >= 1, got {n!r}")
@@ -283,6 +285,6 @@ def conjecture_probe(
         (hi - lo) * f.compose(Polynomial((lo, hi - lo)))
         for lo, hi in zip([0] + cuts, cuts + [1])
     )
-    widths = (_power_sum_fold(g.coefficients, faulhaber, reflect=True) for g in (f, refined))
+    widths = (_width_polynomial(g.coefficients) for g in (f, refined))
     uniform, tagged = (q.evaluate(Fraction(1, n)) for q in widths)
     return ConjectureProbe(uniform, tagged, abs(uniform - tagged))

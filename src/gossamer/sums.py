@@ -6,12 +6,14 @@ evaluating symbolically.  G is certified at construction, never by
 summing the range: every ``ClosedFormSum`` checks that G telescopes to g
 over integers, by a Taylor shift of G's numerators over their lcm; the
 shift is the one ``polynomial`` uses to evaluate G at an infinite
-endpoint w + k.  G itself is the power-sum fold sum_d c_d*S_d, added as
-integer numerators over one lcm.  ``prefix_sums_match``, G against
+endpoint w + k.  G itself is the power-sum fold sum_d c_d*S_d over the
+cached ``faulhaber`` rows, added as integer numerators over one lcm; it is
+the library's only fold over those rows.  ``prefix_sums_match``, G against
 running totals at deg g + 2 points, is the CLI's independent oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -19,7 +21,7 @@ from typing import NamedTuple, Union
 
 from .core import Gossamer, _common_numerators
 from .polynomial import Polynomial, _taylor_shift
-from .riemann import _power_sum_fold, faulhaber
+from .riemann import faulhaber
 from .steps import StepFunction
 
 __all__ = [
@@ -67,10 +69,21 @@ class ClosedFormSum:
 def indefinite_sum(g: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{k=1}^{n} g(k): the power-sum fold sum_d c_d*S_d, certified.
 
-    The fold adds integer numerators over one lcm and builds each of G's
-    coefficients once; the ``ClosedFormSum`` certificate still checks it.
+    S_d is the cached ``faulhaber(d)`` row, read once per nonzero c_d in
+    ascending d.  The fold runs over integers: with c_d = a_d/b_d and S_d's
+    numerators N_d over their lcm D_d, a_d*(L/(b_d*D_d))*N_d goes into the
+    slots, L the lcm of every b_d*D_d, and each of G's coefficients becomes
+    one ``Fraction`` over L.  The ``ClosedFormSum`` certificate still checks it.
     """
-    return ClosedFormSum(g, _power_sum_fold(g.coefficients, faulhaber, reflect=False))
+    rows = [(c, *_common_numerators(faulhaber(degree).coefficients))
+            for degree, c in enumerate(g.coefficients) if c]
+    common = math.lcm(*[c.denominator * d for c, d, _ in rows])
+    slots = [0] * (len(g.coefficients) + 1)
+    for c, d, numerators in rows:
+        scale = c.numerator * (common // (c.denominator * d))
+        for slot, n in enumerate(numerators):
+            slots[slot] += scale * n
+    return ClosedFormSum(g, Polynomial._make([Fraction(s, common) for s in slots]))
 
 
 def sum_at_point(s: ClosedFormSum, a: Endpoint):

@@ -1,9 +1,10 @@
 """Hypothesis strategies, the exact value comparison and the power-sum oracles shared across the test modules."""
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gossamer import Gossamer, Polynomial, StepFunction, faulhaber
+from gossamer import Gossamer, Polynomial, StepFunction, bernoulli_number, faulhaber
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -71,6 +72,17 @@ def width_polynomial(f):
             for m, s in enumerate(faulhaber(degree).coefficients):
                 slots[degree + 1 - m] += c * s
     return Polynomial(slots)
+
+
+def euler_maclaurin_polynomial(f):
+    """Q_f from derivatives: q_0 = integral_0^1 f, q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0))."""
+    q = [f.integrate(Fraction(0), Fraction(1))]
+    derivative = f
+    for i in range(1, len(f.coefficients)):
+        jump = derivative.evaluate(Fraction(1)) - derivative.evaluate(Fraction(0))
+        q.append(bernoulli_number(i) / math.factorial(i) * jump)
+        derivative = derivative.derivative()
+    return Polynomial(q)
 
 
 def point_polynomial(g):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gossamer.riemann
+import gossamer.sums
 from gossamer import (
     Gossamer,
     Polynomial,
@@ -16,6 +17,7 @@ from gossamer import (
     definite_to_sum_pipeline,
     divergent_integral_via_sum,
     faulhaber,
+    indefinite_sum,
     integrability_check,
     omega,
     panel_asymptotic,
@@ -25,8 +27,9 @@ from gossamer import (
     uniform_riemann_sum,
 )
 from gossamer.polynomial import _horner
-from gossamer.riemann import _inverse, _power_sum_fold, _scaled_integral
+from gossamer.riemann import _inverse, _scaled_integral, _width_polynomial
 from strategies import (
+    euler_maclaurin_polynomial,
     point_polynomial,
     polynomials,
     same_value,
@@ -205,22 +208,33 @@ class TestUniformSum:
 @example(Polynomial.parse("-5/6*x^81 + 7/30*x^2"))  # sparse, two terms up to degree 81
 @example(Polynomial.parse("-x^4 - 2/3*x^2 - 5/7"))  # every coefficient negative
 def test_power_sum_fold_matches_both_oracles(f):
-    # One fold: Q_f with the reflection, G without it.
-    assert _power_sum_fold(f.coefficients, faulhaber, reflect=True) == width_polynomial(f)
-    assert _power_sum_fold(f.coefficients, faulhaber, reflect=False) == point_polynomial(f)
+    # Q_f by Euler-Maclaurin against the reflected Faulhaber fold and against
+    # f's derivatives at 0 and 1; G by the integer fold against Polynomial sums.
+    q_f = _width_polynomial(f.coefficients)
+    assert q_f == width_polynomial(f) == euler_maclaurin_polynomial(f)
+    assert all(type(q) is Fraction for q in q_f.coefficients)
+    assert indefinite_sum(f).point_function == point_polynomial(f)
 
 
-@given(sparse_or_dense, st.booleans())
-def test_power_sum_fold_reads_each_row_once_in_ascending_degree(f, reflect):
-    # perfbench's riemann.faulhaber_calls counts these calls.
+@given(sparse_or_dense)
+def test_power_sum_fold_reads_each_row_once_in_ascending_degree(f):
+    # perfbench's riemann.faulhaber_calls counts these calls: only G reads rows.
     calls = []
 
     def counting_faulhaber(degree):
         calls.append(degree)
         return faulhaber(degree)
 
-    _power_sum_fold(f.coefficients, counting_faulhaber, reflect)
-    assert calls == [degree for degree, c in enumerate(f.coefficients) if c]
+    def no_row(degree):
+        raise AssertionError(f"Q_f read faulhaber({degree})")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gossamer.sums, "faulhaber", counting_faulhaber)
+        patch.setattr(gossamer.riemann, "faulhaber", no_row)
+        indefinite_sum(f)
+        assert calls == [degree for degree, c in enumerate(f.coefficients) if c]
+        uniform_riemann_sum(f)
+        conjecture_probe(f, [Fraction(1, 3)], 4)
 
 
 class TestReciprocalRead:
@@ -339,6 +353,14 @@ class TestIntegrability:
         assert not panel_asymptotic(X2, omega(), Gossamer.from_rational(1))
         # A zero integrand still ties there: panel integral and sample are both zero.
         assert panel_asymptotic(Polynomial(), omega(), Gossamer.from_rational(1))
+
+    @pytest.mark.parametrize("count", ["w", "w^2", "w+1"])
+    @pytest.mark.parametrize("f", [ONE, X, X2, Polynomial()], ids=["1", "x", "x^2", "0"])
+    def test_panel_condition_takes_a_rational_panel_index(self, f, count):
+        nu = COUNTS[count]
+        expected = panel_asymptotic(f, nu, Gossamer.from_rational(1))
+        assert panel_asymptotic(f, nu, 1) is expected
+        assert panel_asymptotic(f, nu, Fraction(1)) is expected
 
     @pytest.mark.parametrize("nu", COUNTS.values(), ids=COUNTS.keys())
     def test_panel_condition_at_other_counts(self, nu):
