@@ -37,6 +37,10 @@ USAGE_EXIT = 2
 # The most CSV rows `smooth --samples` writes; each row is one bisection over the bridges.
 MAX_SAMPLES = 100_000
 
+# The most cases `verify --cases` runs per suite; time grows linearly with the count,
+# and `--suite all` at this bound runs for minutes.
+MAX_CASES = 10_000
+
 _SHAPE_ALIASES = {
     "linear": BridgeShape.LINEAR,
     "cubic": BridgeShape.CUBIC_SMOOTHSTEP,
@@ -75,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--cases", type=int, default=100)
+    verify.add_argument("--cases", type=int, default=100, help=f"cases per suite, 1 to {MAX_CASES}")
     verify.add_argument("--json", action="store_true")
     verify.add_argument("--timing", action="store_true", help="include duration in JSON")
 
@@ -133,6 +137,8 @@ def _emit(payload: dict, as_json: bool, lines: Sequence[str]) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.cases > MAX_CASES:
+        raise ValueError(f"--cases must be at most {MAX_CASES}")
     report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     if args.json:
         print(report.to_json(include_timing=args.timing))

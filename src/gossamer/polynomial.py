@@ -34,12 +34,6 @@ Operand = Union[int, float, Fraction, Gossamer]
 MAX_PARSE_DEGREE = 100
 
 
-def _as_operand(x):
-    if isinstance(x, (Gossamer, float)):
-        return x
-    return Fraction(x)
-
-
 class Polynomial:
     """Dense rational-coefficient polynomial, coefficients indexed by degree."""
 
@@ -100,15 +94,24 @@ class Polynomial:
     def evaluate(self, x: Operand):
         """The value at x; the result type follows the argument type.
 
-        At a series c*w^e + k (e != 0, k an integer, possibly 0) the value
-        is p's coefficients relabelled: an integer Taylor shift by k gives
-        the coefficients r_j of p(y + k), and term j is r_j*c^j at w^(j*e).
-        Every other argument goes through Horner's rule.
+        At a rational point (an ``int``, a ``Fraction``, or a finite series:
+        no terms, or one term at w^0) the value is one Horner pass over p's
+        integer numerators (``_at_rational``); a finite series gets it back
+        as a series, with Horner's floor and flag (``_at_finite``).  At a
+        series c*w^e + k (e != 0, k an integer, possibly 0) the value is
+        p's coefficients relabelled: an integer Taylor shift by k gives the
+        coefficients r_j of p(y + k), and term j is r_j*c^j at w^(j*e).
+        Floats and every other series go through Horner's rule.
         """
         if isinstance(x, Gossamer):
-            form = _monomial_plus_integer(x.terms)
+            terms = x.terms
+            if not terms or (len(terms) == 1 and terms[0][0] == 0):
+                return _at_finite(self.coefficients, x)
+            form = _monomial_plus_integer(terms)
             if form is not None:
                 return _relabel(self.coefficients, x, *form)
+        elif not isinstance(x, float):
+            return _at_rational(self.coefficients, x if type(x) is Fraction else Fraction(x))
         return _horner(self.coefficients, x)
 
     def derivative(self) -> "Polynomial":
@@ -127,7 +130,7 @@ class Polynomial:
         ``[1, w]`` evaluate exactly.
         """
         primitive = self.antiderivative()
-        return primitive.evaluate(_as_operand(upper)) - primitive.evaluate(_as_operand(lower))
+        return primitive.evaluate(upper) - primitive.evaluate(lower)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         acc = Polynomial()
@@ -313,15 +316,54 @@ def _at_reciprocal(coefficients: tuple, nu: Gossamer) -> Gossamer:
     return Gossamer._make(tuple(terms), nu.truncation_floor, True)
 
 
+def _at_rational(coefficients: tuple, q: Fraction) -> Fraction:
+    """p(q) by Horner's rule over p's integer numerators; one ``Fraction``, built last.
+
+    With p's numerators n_i over their lcm L and q = a/b, the loop sums
+    n_i*a^i*b^(d-i) in integers, and p(q) is that over L*b^d.
+    """
+    if not coefficients:
+        return Fraction(0)
+    if not q:
+        return coefficients[0]
+    common, numerators = _common_numerators(coefficients)
+    a, b = q.numerator, q.denominator
+    acc, power = numerators[-1], 1
+    for n in reversed(numerators[:-1]):
+        power *= b
+        acc = acc * a + n * power
+    return Fraction(acc, common * power)
+
+
+def _at_finite(coefficients: tuple, x: Gossamer) -> Gossamer:
+    """p(x) for a finite series x (no terms, or one at w^0), as Horner's rule gives it.
+
+    The value keeps x's floor.  It is truncated when x is and p is not a
+    constant, and a nonzero value drops, with the flag, below a positive floor.
+    """
+    value = _at_rational(coefficients, x.terms[0][1] if x.terms else 0)
+    floor = x.truncation_floor
+    truncated = x.truncated and len(coefficients) > 1
+    if floor > 0:
+        return Gossamer._make((), floor, truncated or bool(value))
+    return Gossamer._make(((0, value),) if value else (), floor, truncated)
+
+
 def _horner(coefficients: tuple, x: Operand):
     """Horner evaluation; the result type follows the argument type.
+
+    ``evaluate`` sends it floats and the series that are neither finite
+    nor c*w^e + k; ``_at_reciprocal`` sends it 1/nu off that form.  At a
+    rational or finite argument it returns what ``_at_rational`` and
+    ``_at_finite`` return, and the tests use it as their reference.
 
     For an infinitesimal series x with leading exponent e < 0, every
     term of x^i lies at or below i*e, so no coefficient above degree
     floor(x.truncation_floor / e) reaches x's floor.  The loop starts
     there, from a truncated zero when it skips a nonzero coefficient.
     """
-    x = _as_operand(x)
+    if not isinstance(x, (Gossamer, float)):
+        x = Fraction(x)
     if isinstance(x, Gossamer) and x.truncation_floor > 0:
         # No constant survives a positive floor, so each ``+ c`` would drop
         # it: evaluate at floor 0, where x's terms all fit, then floor that.
@@ -361,14 +403,27 @@ class OrderSwap(NamedTuple):
     differ: bool
 
 
+def _rational_argument(value, name: str) -> Fraction:
+    """``value`` as a ``Fraction``; a gossamer value raises ValueError naming the argument.
+
+    The identity and FTC checks below take rational arguments only, for now.
+    """
+    if isinstance(value, Gossamer):
+        raise ValueError(f"{name} must be rational, got the gossamer value {value}")
+    return Fraction(value)
+
+
 def scale_integral_identity(
     p: Polynomial, a: RationalLike, b: RationalLike, alpha: RationalLike
 ) -> IntegralIdentity:
-    """Both sides of the substitution x = alpha*v, checked for exact equality."""
-    alpha = Fraction(alpha)
+    """Both sides of the substitution x = alpha*v, checked for exact equality.
+
+    ``a``, ``b`` and ``alpha`` must be rational: a gossamer one raises ValueError.
+    """
+    alpha = _rational_argument(alpha, "alpha")
     if alpha == 0:
         raise ValueError("scale factor must be nonzero")
-    a, b = Fraction(a), Fraction(b)
+    a, b = _rational_argument(a, "a"), _rational_argument(b, "b")
     lhs = p.integrate(a, b)
     stretched = p.compose(Polynomial((0, alpha)))  # p(alpha*v)
     rhs = alpha * stretched.integrate(a / alpha, b / alpha)
@@ -378,8 +433,11 @@ def scale_integral_identity(
 def shift_integral_identity(
     p: Polynomial, a: RationalLike, b: RationalLike, c: RationalLike
 ) -> IntegralIdentity:
-    """Both sides of the substitution x = v + c, checked for exact equality."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    """Both sides of the substitution x = v + c, checked for exact equality.
+
+    ``a``, ``b`` and ``c`` must be rational: a gossamer one raises ValueError.
+    """
+    a, b, c = _rational_argument(a, "a"), _rational_argument(b, "b"), _rational_argument(c, "c")
     lhs = p.integrate(a, b)
     shifted = p.compose(Polynomial((c, 1)))  # p(v + c)
     rhs = shifted.integrate(a - c, b - c)
@@ -393,11 +451,12 @@ def ftc_inverse_check(
 
     Builds F with F(a) = 0, forms (F(x+h) - F(x))/h in exact gossamer
     arithmetic, and recovers the integrand value as the standard part.
+    ``a`` and ``x`` must be rational: a gossamer one raises ValueError.
     """
     _require_infinitesimal(h)
-    x = Fraction(x)
+    a, x = _rational_argument(a, "a"), _rational_argument(x, "x")
     accumulation = p.antiderivative()
-    accumulation = accumulation - Polynomial.constant(accumulation.evaluate(Fraction(a)))
+    accumulation = accumulation - Polynomial.constant(accumulation.evaluate(a))
     quotient = (accumulation.evaluate(x + h) - accumulation.evaluate(x)) / h
     recovered = quotient.standard_part()
     return FtcInverseCheck(quotient, recovered, recovered == p.evaluate(x))
@@ -408,9 +467,10 @@ def order_swap_demo(p: Polynomial, x: RationalLike, h: Gossamer) -> OrderSwap:
 
     Collapsing the step before the partition gives ``h*p(x)``; letting the
     partition refine first gives ``h * integral of p over [0, 1]``.  The
-    two differ unless they happen to coincide.
+    two differ unless they happen to coincide.  ``x`` must be rational: a
+    gossamer one raises ValueError.
     """
     _require_infinitesimal(h)
-    h_first = h * p.evaluate(Fraction(x))
+    h_first = h * p.evaluate(_rational_argument(x, "x"))
     n_first = h * p.integrate(Fraction(0), Fraction(1))
     return OrderSwap(h_first, n_first, h_first != n_first)

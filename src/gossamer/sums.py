@@ -150,9 +150,13 @@ def _endpoint(x: Endpoint) -> Gossamer:
 def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     """sum_{k=a}^{b} g(k) = G(b) - G(a-1), both endpoints included.
 
-    Infinite endpoints give the exact symbolic value.  The sum over
-    a+1..b is G(b) - G(a), i.e. ``sum_at_point(s, b) - sum_at_point(s, a)``.
-    No oracle runs here; construction certifies the closed form.
+    Infinite endpoints give the exact symbolic value: at w + k, G's
+    coefficients relabelled.  A finite endpoint is a rational point, where
+    G takes one Horner pass over its integer numerators; at a = 1, G(a-1)
+    is G at the zero series, G's constant term 0, with no pass at all.
+    The sum over a+1..b is G(b) - G(a), i.e.
+    ``sum_at_point(s, b) - sum_at_point(s, a)``.  No oracle runs here;
+    construction certifies the closed form.
     """
     a, b = _endpoint(a), _endpoint(b)
     if a.compare(b) > 0:

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from gossamer.cli import MAX_SAMPLES, main
+import gossamer.cli
+from gossamer.cli import MAX_CASES, MAX_SAMPLES, main
 from gossamer.polynomial import MAX_PARSE_DEGREE
+from gossamer.report import run_suite
 
 HEAVYSIDE = '{"breakpoints": ["0"], "levels": ["0", "1"]}'
 
@@ -213,6 +215,24 @@ class TestVerify:
     def test_nonpositive_case_count_is_usage(self, cases, capsys):
         assert main(["verify", "--suite", "riemann", "--cases", cases]) == 2
         assert "cases must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cases", [str(MAX_CASES + 1), "100000000"])
+    def test_case_count_above_the_bound_is_usage(self, cases, capsys, monkeypatch):
+        # Rejected before any case runs: 10^8 riemann cases would run for days.
+        monkeypatch.setattr(gossamer.cli, "run_suite", None)
+        assert main(["verify", "--suite", "riemann", "--cases", cases]) == 2
+        assert f"--cases must be at most {MAX_CASES}" in option_error(capsys)
+
+    def test_case_count_at_the_bound_runs(self, monkeypatch):
+        asked = []
+
+        def one_case(suite, seed, cases):
+            asked.append(cases)
+            return run_suite(suite, seed, 1)
+
+        monkeypatch.setattr(gossamer.cli, "run_suite", one_case)
+        assert main(["verify", "--suite", "riemann", "--cases", str(MAX_CASES)]) == 0
+        assert asked == [MAX_CASES]
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

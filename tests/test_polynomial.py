@@ -166,6 +166,55 @@ def test_reciprocal_relabelling_matches_horner(q, e, c, k, s, floor, truncated):
     assert same_value(_at_reciprocal(q.coefficients, nu), _horner(q.coefficients, nu.inverse()))
 
 
+# A rational point q as an int, a Fraction and the series q*w^0 (the zero
+# series at q = 0); above floor 0 the series drops q, with the flag.
+rational_points = st.one_of(
+    st.just(0),
+    st.integers(-7, 7),
+    st.fractions(min_value=-7, max_value=7, max_denominator=9),
+)
+rational_point_floors = st.sampled_from([-16, -3, 0, Fraction(1, 2), 2])
+
+
+@given(relabel_polynomials, rational_points, rational_point_floors, st.booleans())
+def test_rational_points_match_horner(p, q, floor, truncated):
+    value = p.evaluate(q)
+    assert value == _horner(p.coefficients, q) and type(value) is Fraction
+    x = Gossamer(((0, q),), floor=floor, truncated=truncated)
+    assert same_value(p.evaluate(x), _horner(p.coefficients, x))
+
+
+# (coefficients, x, terms, flag): the value keeps x's floor in every case.
+RATIONAL_POINT_EDGES = {
+    "zero-series-above-the-floor-drops-p(0)": ([3, 1], Gossamer(floor=2), (), True),
+    "zero-series-above-the-floor-p(0)-zero": ([0, 1], Gossamer(floor=2), (), False),
+    "truncated-zero-series-constant-p": ([7], Gossamer(truncated=True), ((0, 7),), False),
+    "truncated-zero-series-linear-p": ([7, 1], Gossamer(truncated=True), ((0, 7),), True),
+    "truncated-point-value-cancels": ([-2, 1], Gossamer(((0, 2),), truncated=True), (), True),
+    "zero-polynomial-at-zero-series": ([], Gossamer(), (), False),
+    "zero-polynomial-truncated-above-the-floor": ([], Gossamer(floor=2, truncated=True), (), False),
+    "zero-polynomial-at-a-constant": ([], Gossamer.parse("5/3"), (), False),
+}
+
+
+@pytest.mark.parametrize("edge", RATIONAL_POINT_EDGES)
+def test_rational_point_edges(edge):
+    coefficients, x, terms, flag = RATIONAL_POINT_EDGES[edge]
+    p = Polynomial(coefficients)
+    value = p.evaluate(x)
+    assert value.terms == terms and value.truncated is flag
+    assert value.truncation_floor == x.truncation_floor
+    assert same_value(value, _horner(p.coefficients, x))
+
+
+@pytest.mark.parametrize("q", [0, 3, -2, Fraction(5, 3), Fraction(-1, 2), True])
+def test_zero_polynomial_at_a_rational_point(q):
+    value = Polynomial().evaluate(q)
+    assert value == 0 and type(value) is Fraction
+
+
+# Arguments off the relabelled form.  The constant and the zero series are
+# finite, and take the integer pass; every value still equals Horner's.
 OFF_FORM = {
     "non-integer-constant": Gossamer.parse("w + 1/2"),
     "two-non-constant-terms": Gossamer.parse("w - w^-1"),
@@ -310,6 +359,26 @@ class TestOrderSwap:
         swap = order_swap_demo(Polynomial.parse("x"), Fraction(1, 2), H)
         assert swap.h_first == swap.n_first == Fraction(1, 2) * H
         assert not swap.differ
+
+
+# Each rational argument given a gossamer value: a ValueError that names
+# the argument, not the TypeError Fraction(value) raises.
+GOSSAMER_ARGUMENTS = [
+    ("x", ftc_inverse_check, (X2, 0, omega(), H)),
+    ("a", ftc_inverse_check, (X2, omega(), 1, H)),
+    ("x", ftc_inverse_check, (X2, 0, Gossamer.parse("2"), H)),
+    ("x", order_swap_demo, (X2, omega(), H)),
+    ("a", scale_integral_identity, (X2, omega(), 1, 2)),
+    ("alpha", scale_integral_identity, (X2, 0, 1, omega(-1))),
+    ("b", shift_integral_identity, (X2, 0, omega(), 1)),
+    ("c", shift_integral_identity, (X2, 0, 1, omega())),
+]
+
+
+@pytest.mark.parametrize("name, function, args", GOSSAMER_ARGUMENTS)
+def test_gossamer_argument_rejected_by_name(name, function, args):
+    with pytest.raises(ValueError, match=f"^{name} must be rational, got the gossamer value"):
+        function(*args)
 
 
 def test_hash_agrees_with_eq_for_constants():
