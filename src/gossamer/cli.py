@@ -172,6 +172,7 @@ def _cmd_riemann(args) -> int:
         "sum": str(total),
         "standard_part": str(st),
         "integral_0_1": str(integral),
+        "truncated": total.truncated,
     }
     if total and integral:
         remainder = riemann_remainder(riemann_sum)
@@ -225,6 +226,7 @@ def _cmd_sum(args) -> int:
         "to": str(args.end),
         "closed_form": closed_form.to_text("n"),
         "value": str(result.value),
+        "truncated": result.value.truncated,
         "oracle": f"brute-force prefix sums at n = 0..{g.degree + 1}",
         "match": match,
     }

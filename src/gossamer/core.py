@@ -491,8 +491,18 @@ def _normalise(merged: dict, floor: Fraction) -> Tuple[tuple, bool]:
 
 def _common_numerators(coefficients: Sequence[Fraction]) -> Tuple[int, list]:
     """``(d, [n, ...])`` with each coefficient equal to ``n / d``, d the lcm of denominators."""
-    d = math.lcm(*[c.denominator for c in coefficients])
-    return d, [c.numerator * (d // c.denominator) for c in coefficients]
+    denominators = [c.denominator for c in coefficients]
+    d = math.lcm(*denominators)
+    return d, [c.numerator * (d // b) for c, b in zip(coefficients, denominators)]
+
+
+def _lowest_terms(d: int, numerators: Sequence[int]) -> Tuple[int, list]:
+    """The fractions n/d in ``_common_numerators``'s form: ``(d/g, [n/g, ...])``, g = gcd(d, *n).
+
+    The lcm of the reduced denominators d/gcd(d, n) is d over the gcd of all the gcd(d, n).
+    """
+    g = math.gcd(d, *numerators)
+    return d // g, [n // g for n in numerators]
 
 
 def omega(exponent: RationalLike = 1, floor: Optional[RationalLike] = None) -> Gossamer:

@@ -4,12 +4,17 @@ Polynomials evaluate over rationals or gossamer numbers alike, which is
 what lets an accumulation function be probed with an infinitesimal
 increment and differentiated exactly.  Text in and out is the term
 grammar of ``parsing`` in one variable letter, with integer degrees.
+
+The exact evaluations run on a polynomial's integer form: its
+coefficients' numerators over their lcm, taken once per polynomial and
+kept on it (``_integer_form``), or kept from construction when a closed
+form was built in integers (``_from_numerators``).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .core import Gossamer, Kind, RationalLike, _common_numerators, _require_infinitesimal
 from .parsing import ParseError, read_terms, write_terms
@@ -35,15 +40,21 @@ MAX_PARSE_DEGREE = 100
 
 
 class Polynomial:
-    """Dense rational-coefficient polynomial, coefficients indexed by degree."""
+    """Dense rational-coefficient polynomial, coefficients indexed by degree.
 
-    __slots__ = ("coefficients",)
+    ``_form`` holds the coefficients' integer numerators over their lcm,
+    ``(L, numerators)``, once an integer reader has asked for them
+    (``_integer_form``), or from construction (``_from_numerators``).
+    """
+
+    __slots__ = ("coefficients", "_form")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+        self._form = None
 
     @classmethod
     def _make(cls, coeffs: list) -> "Polynomial":
@@ -52,6 +63,7 @@ class Polynomial:
             coeffs.pop()
         value = object.__new__(cls)
         value.coefficients = tuple(coeffs)
+        value._form = None
         return value
 
     @classmethod
@@ -106,12 +118,12 @@ class Polynomial:
         if isinstance(x, Gossamer):
             terms = x.terms
             if not terms or (len(terms) == 1 and terms[0][0] == 0):
-                return _at_finite(self.coefficients, x)
+                return _at_finite(self, x)
             form = _monomial_plus_integer(terms)
             if form is not None:
-                return _relabel(self.coefficients, x, *form)
+                return _relabel(self, x, *form)
         elif not isinstance(x, float):
-            return _at_rational(self.coefficients, x if type(x) is Fraction else Fraction(x))
+            return _at_rational(self, x if type(x) is Fraction else Fraction(x))
         return _horner(self.coefficients, x)
 
     def derivative(self) -> "Polynomial":
@@ -223,9 +235,33 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
-def _taylor_shift(numerators: list, k: int) -> list:
+def _integer_form(p: Polynomial) -> tuple:
+    """``(L, numerators)``: p's coefficients as integers over their lcm L, taken once per p."""
+    form = p._form
+    if form is None:
+        common, numerators = _common_numerators(p.coefficients)
+        form = p._form = (common, tuple(numerators))
+    return form
+
+
+def _from_numerators(common: int, numerators: list) -> Polynomial:
+    """The polynomial with coefficients n_i/common, its integer form stored.
+
+    ``common`` and ``numerators`` must be in lowest terms (``_lowest_terms``),
+    so the form is the one ``_integer_form`` would take.  Each ``Fraction``
+    is built once; trailing zero numerators are stripped.
+    """
+    while numerators and not numerators[-1]:
+        numerators.pop()
+    value = object.__new__(Polynomial)
+    value.coefficients = tuple([Fraction(n, common) for n in numerators])
+    value._form = (common, tuple(numerators))
+    return value
+
+
+def _taylor_shift(numerators: Sequence[int], k: int) -> list:
     """Coefficients of n(y + k), for the coefficients n of n(y), in integers alone."""
-    shifted = numerators.copy()
+    shifted = list(numerators)
     top = len(shifted) - 1
     if k:
         for i in range(top):
@@ -248,7 +284,7 @@ def _monomial_plus_integer(terms: tuple):
     return (e, c, k) if e else None
 
 
-def _relabel(coefficients: tuple, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
+def _relabel(p: Polynomial, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
     """p(x) for x = c*w^e + k: term j of p(y + k) times c^j, at exponent j*e.
 
     Horner's rule over the same x keeps exactly the terms at or above x's
@@ -256,9 +292,9 @@ def _relabel(coefficients: tuple, x: Gossamer, e, c: Fraction, k: int) -> Gossam
     is not a constant; so is this.
     """
     floor = x.truncation_floor
-    if not coefficients:
+    if not p.coefficients:
         return Gossamer._make((), floor, False)
-    common, numerators = _common_numerators(coefficients)
+    common, numerators = _integer_form(p)
     shifted = _taylor_shift(numerators, k)
     top = len(shifted) - 1
     # j*e >= floor bounds j above when e < 0 and below when e > 0.
@@ -267,16 +303,15 @@ def _relabel(coefficients: tuple, x: Gossamer, e, c: Fraction, k: int) -> Gossam
     else:
         lo, hi = max(0, math.ceil(floor / e)), top
     dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
-    terms = _terms(shifted, lo, hi, e, c, common)
+    terms = _terms(shifted, lo, hi, e, c.numerator, c.denominator, common)
     if e > 0:
         terms.reverse()
     return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
 
 
-def _terms(numerators: list, lo: int, hi: int, e, c: Fraction, common: int) -> list:
-    """``(j*e, r_j*c^j/common)`` for each nonzero r_j, j = lo..hi, in that order."""
+def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int) -> list:
+    """``(j*e, r_j*(cn/cd)^j/common)`` for each nonzero r_j, j = lo..hi, in that order."""
     en, ed = e.numerator, e.denominator
-    cn, cd = c.numerator, c.denominator
     power_n, power_d = cn**lo, common * cd**lo
     terms = []
     for j in range(lo, hi + 1):
@@ -290,43 +325,64 @@ def _terms(numerators: list, lo: int, hi: int, e, c: Fraction, common: int) -> l
     return terms
 
 
-def _at_reciprocal(coefficients: tuple, nu: Gossamer) -> Gossamer:
-    """q(1/nu) for an infinite nu: Horner's rule over ``nu.inverse()``, unless nu = c*w^e + k.
+def _reciprocal_form(nu: Gossamer):
+    """``(e, c, k, reach)`` when the infinite nu is c*w^e + k, k an integer, else None.
 
-    There (e > 0, k an integer) 1/nu = t/(1 + k*t), t = w^-e/c: ``_relabel``
-    at k = 0, and otherwise the never-ending, so truncated, series whose term
-    at w^(-m*e) is c^-m * sum_{j=1}^{min(m, deg q)} q_j*C(m-1, j-1)*(-k)^(m-j)
-    (q_0 at m = 0).  Either keeps Horner's terms, floor and flag.
+    1/nu's powers then lead at w^(-i*e), so reach = floor(-floor/e), with
+    nu's floor, is the last degree i of a polynomial in 1/nu that can reach
+    that floor (below 0 at a positive floor).
     """
     form = _monomial_plus_integer(nu.terms)
     if form is None:
-        return _horner(coefficients, nu.inverse())
-    e, c, k = form
-    if not k or len(coefficients) < 2:
-        return _relabel(coefficients, nu, -e, 1 / c, 0)
-    common, numerators = _common_numerators(coefficients)
-    # -m*e >= floor bounds m; at a positive floor not even m = 0 is kept.
-    reach = math.floor(-nu.truncation_floor / e)
-    minus_k = [(-k) ** i for i in range(reach + 1)]
-    sums = numerators[:1]
-    for m in range(1, reach + 1):
-        row = enumerate(numerators[1 : m + 1], 1)  # j = 1..min(m, deg q)
-        sums.append(sum(q * math.comb(m - 1, j - 1) * minus_k[m - j] for j, q in row))
-    terms = _terms(sums, 0, reach, -e, 1 / c, common)
-    return Gossamer._make(tuple(terms), nu.truncation_floor, True)
+        return None
+    e, floor = form[0], nu.truncation_floor
+    return (*form, -floor.numerator * e.denominator // (floor.denominator * e.numerator))
 
 
-def _at_rational(coefficients: tuple, q: Fraction) -> Fraction:
+def _at_reciprocal(
+    common: int, numerators: Sequence[int], beyond: bool, nu: Gossamer, form: tuple
+) -> Gossamer:
+    """q(1/nu) for nu = c*w^e + k, form ``(e, c, k, reach)`` from ``_reciprocal_form``.
+
+    Only q's low coefficients are read: ``numerators`` are q_0..q_r over
+    their lcm ``common``, r = min(reach, deg q), and ``beyond`` says
+    whether any q_i with i > r is nonzero.  At k = 0, 1/nu = w^-e/c and
+    term i is q_i*c^-i at w^(-i*e); so it is when q_1..q_r are all zero,
+    as every power of 1/nu starts at w^-e.  Otherwise 1/nu = u = t/(1 + k*t),
+    t = w^-e/c, a never-ending, so truncated, series in t, and q(u) is
+    Horner's rule over the integer numerators in the series of t cut after
+    t^reach: times u is a shift by one power of t, then a division by
+    1 + k*t, each term less k times the one before.  Either way the value
+    keeps the terms, floor and flag of Horner's rule over ``nu.inverse()``.
+    """
+    e, c, k, reach = form
+    floor = nu.truncation_floor
+    over_c = c.denominator, c.numerator  # 1/c, its sign carried by the denominator
+    powers = any(numerators[1:])  # a kept q_i, i >= 1, is nonzero
+    if not k or not powers:
+        terms = _terms(numerators, 0, len(numerators) - 1, -e, *over_c, common)
+        return Gossamer._make(tuple(terms), floor, beyond or (nu.truncated and powers))
+    sums = [0] * (reach + 1)
+    for q in reversed(numerators):
+        below, sums[0] = sums[0], 0
+        for m in range(1, reach + 1):
+            below, sums[m] = sums[m], below - k * sums[m - 1]
+        sums[0] = q
+    return Gossamer._make(tuple(_terms(sums, 0, reach, -e, *over_c, common)), floor, True)
+
+
+def _at_rational(p: Polynomial, q: Fraction) -> Fraction:
     """p(q) by Horner's rule over p's integer numerators; one ``Fraction``, built last.
 
     With p's numerators n_i over their lcm L and q = a/b, the loop sums
     n_i*a^i*b^(d-i) in integers, and p(q) is that over L*b^d.
     """
+    coefficients = p.coefficients
     if not coefficients:
         return Fraction(0)
     if not q:
         return coefficients[0]
-    common, numerators = _common_numerators(coefficients)
+    common, numerators = _integer_form(p)
     a, b = q.numerator, q.denominator
     acc, power = numerators[-1], 1
     for n in reversed(numerators[:-1]):
@@ -335,15 +391,15 @@ def _at_rational(coefficients: tuple, q: Fraction) -> Fraction:
     return Fraction(acc, common * power)
 
 
-def _at_finite(coefficients: tuple, x: Gossamer) -> Gossamer:
+def _at_finite(p: Polynomial, x: Gossamer) -> Gossamer:
     """p(x) for a finite series x (no terms, or one at w^0), as Horner's rule gives it.
 
     The value keeps x's floor.  It is truncated when x is and p is not a
     constant, and a nonzero value drops, with the flag, below a positive floor.
     """
-    value = _at_rational(coefficients, x.terms[0][1] if x.terms else 0)
+    value = _at_rational(p, x.terms[0][1] if x.terms else 0)
     floor = x.truncation_floor
-    truncated = x.truncated and len(coefficients) > 1
+    truncated = x.truncated and len(p.coefficients) > 1
     if floor > 0:
         return Gossamer._make((), floor, truncated or bool(value))
     return Gossamer._make(((0, value),) if value else (), floor, truncated)
@@ -353,7 +409,7 @@ def _horner(coefficients: tuple, x: Operand):
     """Horner evaluation; the result type follows the argument type.
 
     ``evaluate`` sends it floats and the series that are neither finite
-    nor c*w^e + k; ``_at_reciprocal`` sends it 1/nu off that form.  At a
+    nor c*w^e + k; a Riemann sum sends it 1/nu off that form.  At a
     rational or finite argument it returns what ``_at_rational`` and
     ``_at_finite`` return, and the tests use it as their reference.
 

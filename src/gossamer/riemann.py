@@ -3,13 +3,15 @@
 The sum over j of f(j/nu)*(1/nu) is never iterated: it is one rational
 polynomial Q_f in the panel width 1/nu, the Euler-Maclaurin form,
 evaluated once at 1/nu; its standard part, Q_f(0), is the integral and
-its lower-order terms the remainder.  Q_f's coefficients come from f's
-integer numerators and the cached Bernoulli numbers, which solve their
-defining recurrence; the ``faulhaber`` rows serve the sums module.
-At nu = c*w^e + k (k an integer) Q_f(1/nu) is read off Q_f's integer
-numerators by the binomial series of 1/nu, with no series inverse.
-An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f.
-A finite count n reads Q_f at 1/n.
+its lower-order terms the remainder.  Q_f's coefficients come, as integer
+numerators over their lcm, from f's integer numerators and the cached
+Bernoulli numbers, which solve their defining recurrence; the
+``faulhaber`` rows serve the sums module.  At nu = c*w^e + k (k an
+integer) only the q_i whose term can reach nu's floor are built, with
+one bit for whether any higher one is nonzero, and Q_f(1/nu) is read off
+their numerators, by Horner's rule in the series of 1/nu when k != 0,
+with no series inverse and no ``Fraction`` coefficient.  An integral of f(x/nu) is nu*F(x/nu)
+between its endpoints, F' = f.  A finite count n reads the full Q_f at 1/n.
 """
 from __future__ import annotations
 
@@ -19,8 +21,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .core import Gossamer, Kind, RationalLike, ZeroMagnitudeError, _common_numerators, omega
-from .polynomial import Polynomial, _at_reciprocal
+from .core import (
+    Gossamer,
+    Kind,
+    RationalLike,
+    ZeroMagnitudeError,
+    _common_numerators,
+    _lowest_terms,
+    omega,
+)
+from .polynomial import Polynomial, _at_reciprocal, _from_numerators, _horner, _reciprocal_form
 
 __all__ = [
     "ConjectureProbe",
@@ -93,24 +103,47 @@ def _inverse(nu: Gossamer) -> Gossamer:
     return Gossamer(nu.terms, floor=deep, truncated=nu.truncated).inverse()
 
 
-def _width_polynomial(coefficients: tuple) -> Polynomial:
-    """Q_f, the Euler-Maclaurin polynomial of f in the panel width.
+def _width_numerators(f: Polynomial, reach: int) -> tuple:
+    """Q_f's low coefficients in integers: ``(L, numerators, beyond)``.
 
+    Q_f is the Euler-Maclaurin polynomial of f in the panel width:
     q_0 = integral_0^1 f and, for i >= 1,
-    q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)) = B_i*sum_{d >= i} c_d*C(d, i-1)/i.
-    With c_d = a_d/L over one lcm L, q_0 is one ``Fraction`` over L times the
-    lcm of the d + 1, and each q_i one ``Fraction`` over B_i's denominator
-    times i*L; odd i >= 3 have B_i = 0.
+    q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)) = B_i*s_i/(i*M), where
+    s_i = sum_{d >= i} a_d*C(d, i-1) over f's numerators a_d and their lcm
+    M; q_0 = s_0/(S*M), s_0 = sum_d a_d*S/(d + 1), S the lcm of the d + 1.
+    q_0..q_r, r = min(reach, deg f), go over one common denominator and take
+    one gcd, which leaves them as numerators over their lcm L.  Above r,
+    ``beyond`` says whether any q_i is nonzero: s_i is summed from the top
+    down to the first nonzero one, and odd i >= 3, where B_i = 0, are
+    skipped.  f belongs to the caller: its numerators are taken here and
+    not stored on it.
     """
-    common, numerators = _common_numerators(coefficients)
+    common, numerators = _common_numerators(f.coefficients)
     terms = [(d, a) for d, a in enumerate(numerators) if a]
     spans = math.lcm(*[d + 1 for d, _ in terms])
-    q = [Fraction(sum(a * (spans // (d + 1)) for d, a in terms), spans * common)]
-    for i in range(1, len(coefficients)):
-        b = bernoulli_number(i)
-        moment = sum(a * math.comb(d, i - 1) for d, a in terms if d >= i) if b else 0
-        q.append(Fraction(b.numerator * moment, b.denominator * i * common))
-    return Polynomial._make(q)
+
+    def moment(i: int) -> int:
+        if i == 0:
+            return sum(a * (spans // (d + 1)) for d, a in terms)
+        if i > 2 and i % 2:
+            return 0
+        return sum(a * math.comb(d, i - 1) for d, a in terms if d >= i)
+
+    top = min(reach, len(numerators) - 1)
+    beyond = any(moment(i) for i in range(len(numerators) - 1, max(top, -1), -1))
+    bernoulli = [bernoulli_number(i) for i in range(1, top + 1)]
+    scale = math.lcm(spans, *[b.denominator * i for i, b in enumerate(bernoulli, 1) if b])
+    q = [moment(0) * (scale // spans)] if top >= 0 else []
+    q += [
+        b.numerator * moment(i) * (scale // (b.denominator * i)) for i, b in enumerate(bernoulli, 1)
+    ]
+    return (*_lowest_terms(scale * common, q), beyond)
+
+
+def _width_polynomial(f: Polynomial) -> Polynomial:
+    """Q_f in full, as a ``Polynomial`` keeping its integer form."""
+    common, numerators, _ = _width_numerators(f, f.degree)
+    return _from_numerators(common, numerators)
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:
@@ -118,17 +151,25 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
 
     Q_f is the Euler-Maclaurin polynomial: q_0 is the integral of f over
     [0, 1] and q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)), B_1 = +1/2, built
-    from f's integer numerators over one lcm (``_width_polynomial``).  At
-    nu = c*w^e + k, k an integer, 1/nu = t/(1 + k*t) with t = w^-e/c, and
-    each term of Q_f(1/nu) is a binomial sum of Q_f's integer numerators;
-    any other nu takes Horner's rule over ``nu.inverse()``.  Powers of 1/nu
+    in integers from f's numerators over one lcm (``_width_numerators``).
+    At nu = c*w^e + k, k an integer, q_i's term lies at w^(-i*e) or below,
+    so only q_0..q_reach are built, reach = floor(-floor/e) with nu's
+    floor, with one bit saying whether any q_i above reach is nonzero.
+    There 1/nu = t/(1 + k*t) with t = w^-e/c, and Q_f(1/nu) is Horner's
+    rule over those integer numerators in the series of t cut at the
+    floor (``polynomial._at_reciprocal``).  Any other nu takes
+    Horner's rule over ``nu.inverse()`` of the full Q_f.  Powers of 1/nu
     lead with negative exponents, so every term kept above the floor is
-    exact.  ``conjecture_probe`` reads the same Q_f at 1/n for a finite n.
+    exact.  ``conjecture_probe`` reads the full Q_f at 1/n for a finite n.
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
-    q_f = _width_polynomial(f.coefficients)
-    return UniformRiemannSum(f, nu, _at_reciprocal(q_f.coefficients, nu))
+    form = _reciprocal_form(nu)
+    if form is None:
+        value = _horner(_width_polynomial(f).coefficients, nu.inverse())
+    else:
+        value = _at_reciprocal(*_width_numerators(f, form[-1]), nu, form)
+    return UniformRiemannSum(f, nu, value)
 
 
 def riemann_limit(f: Polynomial) -> Fraction:
@@ -285,6 +326,6 @@ def conjecture_probe(
         (hi - lo) * f.compose(Polynomial((lo, hi - lo)))
         for lo, hi in zip([0] + cuts, cuts + [1])
     )
-    widths = (_width_polynomial(g.coefficients) for g in (f, refined))
+    widths = (_width_polynomial(g) for g in (f, refined))
     uniform, tagged = (q.evaluate(Fraction(1, n)) for q in widths)
     return ConjectureProbe(uniform, tagged, abs(uniform - tagged))

@@ -8,8 +8,11 @@ over integers, by a Taylor shift of G's numerators over their lcm; the
 shift is the one ``polynomial`` uses to evaluate G at an infinite
 endpoint w + k.  G itself is the power-sum fold sum_d c_d*S_d over the
 cached ``faulhaber`` rows, added as integer numerators over one lcm; it is
-the library's only fold over those rows.  ``prefix_sums_match``, G against
-running totals at deg g + 2 points, is the CLI's independent oracle.
+the library's only fold over those rows.  Each row keeps its numerators,
+so it pays its lcm once per process, and G keeps the numerators it was
+built from, so the certificate and G at an endpoint take no lcm at all.
+``prefix_sums_match``, G against running totals at deg g + 2 points, is
+the CLI's independent oracle.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Union
 
-from .core import Gossamer, _common_numerators
-from .polynomial import Polynomial, _taylor_shift
+from .core import Gossamer, _lowest_terms
+from .polynomial import Polynomial, _from_numerators, _integer_form, _taylor_shift
 from .riemann import faulhaber
 from .steps import StepFunction
 
@@ -56,7 +59,7 @@ class ClosedFormSum:
         point = self.point_function.coefficients
         if point and point[0]:
             raise ValueError("point function must vanish at 0")
-        common, numerators = _common_numerators(point)
+        common, numerators = _integer_form(self.point_function)
         shifted = _taylor_shift(numerators, -1)  # G(n-1) over the same lcm
         term = self.term.coefficients
         if any(
@@ -70,12 +73,15 @@ def indefinite_sum(g: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{k=1}^{n} g(k): the power-sum fold sum_d c_d*S_d, certified.
 
     S_d is the cached ``faulhaber(d)`` row, read once per nonzero c_d in
-    ascending d.  The fold runs over integers: with c_d = a_d/b_d and S_d's
-    numerators N_d over their lcm D_d, a_d*(L/(b_d*D_d))*N_d goes into the
-    slots, L the lcm of every b_d*D_d, and each of G's coefficients becomes
-    one ``Fraction`` over L.  The ``ClosedFormSum`` certificate still checks it.
+    ascending d, with its integer numerators N_d over their lcm D_d, which
+    the row keeps.  The fold runs over integers: with c_d = a_d/b_d,
+    a_d*(L/(b_d*D_d))*N_d goes into the slots, L the lcm of every b_d*D_d.
+    One gcd g of L and the slots puts them in lowest terms, L/g and s_i/g,
+    from which G's ``Fraction`` coefficients are built once and which G
+    keeps, so the ``ClosedFormSum`` certificate and G at an endpoint take
+    no lcm again.
     """
-    rows = [(c, *_common_numerators(faulhaber(degree).coefficients))
+    rows = [(c, *_integer_form(faulhaber(degree)))
             for degree, c in enumerate(g.coefficients) if c]
     common = math.lcm(*[c.denominator * d for c, d, _ in rows])
     slots = [0] * (len(g.coefficients) + 1)
@@ -83,7 +89,7 @@ def indefinite_sum(g: Polynomial) -> ClosedFormSum:
         scale = c.numerator * (common // (c.denominator * d))
         for slot, n in enumerate(numerators):
             slots[slot] += scale * n
-    return ClosedFormSum(g, Polynomial._make([Fraction(s, common) for s in slots]))
+    return ClosedFormSum(g, _from_numerators(*_lowest_terms(common, slots)))
 
 
 def sum_at_point(s: ClosedFormSum, a: Endpoint):

@@ -61,6 +61,12 @@ class TestRiemann:
         assert data["sum"] == "5/6 + w^-2 + 1/6*w^-4"
         assert data["remainder"] == "w^-2 + 1/6*w^-4"
 
+    @pytest.mark.parametrize("nu_exp, truncated", [("3", True), ("1", False)])
+    def test_json_says_when_a_term_dropped(self, capsys, nu_exp, truncated):
+        # At w^3 the sum's w^-18 term lies below the floor, -16.
+        assert main(["riemann", "--poly", "x^6 + x", "--nu-exp", nu_exp, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["truncated"] is truncated
+
 
 class TestFtc:
     def test_human_output(self, capsys):
@@ -103,6 +109,7 @@ class TestSum:
         data = json.loads(capsys.readouterr().out)
         assert data["oracle"] == "brute-force prefix sums at n = 0..3"
         assert data["match"] is True
+        assert data["truncated"] is False
 
     def test_long_range_is_closed_form(self, capsys):
         assert main(["sum", "--term", "k^2", "--from", "1", "--to", "1000000"]) == 0
@@ -299,23 +306,23 @@ POLYS = ("x^2", "3*x^6 - 2*x^3 + x", "1/2*x^5 + x^4 - 7/3*x + 2")
 SPARSE = ("x^40 - 3*x^17 + 1/2*x^5 + 2", "5/3*x^40 + x^33 - 7*x^2")  # terms down to w^-120, far below the floor
 JSON_DIGESTS = [
     (("riemann", "--poly", POLYS[0], "--nu-exp", "1", "--json"),
-     "e8db102f2c4b5bbafb34c97ab745df215305b7cd89426140e66d529a7da4ba1c"),
+     "9298164599d002ef9bdfa62646b6573b1704fb49663aa77d3bec5ac22ec68a0f"),
     (("riemann", "--poly", POLYS[0], "--nu-exp", "2", "--json"),
-     "218fe034c040a796ea56c3ccc3bb1a1a4570ea939bbe3981c3d80d9ddb758582"),
+     "a71eefc696115306bfdfbe129dc930b347e9289b342fffda90632211239107e1"),
     (("riemann", "--poly", POLYS[0], "--nu-exp", "1/2", "--json"),
-     "c7ecbbbef5512363fcebfa47e057924e214cfc4c857117cb1ef35d7a7b01caf2"),
+     "c0ad9d9e446857c482bbe100424bea5ae87bb646dee2b670f0bb739abb19f239"),
     (("riemann", "--poly", POLYS[1], "--nu-exp", "1", "--json"),
-     "9ec4392f14add7d2c6dc64fb7b852c5f5c96bcdf8ff9331680a7e8ef12548bd8"),
+     "fb24946d39216916cdea4ca1e6c4561ea5049709ff558218b15e710b6b7f72f1"),
     (("riemann", "--poly", POLYS[1], "--nu-exp", "2", "--json"),
-     "305058700d7e6f22c59a77969b55d979fcf8f47e14eea6c54d9693c281e95639"),
+     "30a5c99f06631b5db8d90b2fd76f4f72ffd0e0f2190bec215329b177b1ada499"),
     (("riemann", "--poly", POLYS[1], "--nu-exp", "1/2", "--json"),
-     "b5335cfd07ab52f894dca110f71979821f68b67883401b0ab9410eb73e411e9d"),
+     "5c98f0c33e7f69703c65db7f188b53cd4b532a45170cb5cd3d24a5bc64cc6e80"),
     (("riemann", "--poly", POLYS[2], "--nu-exp", "1", "--json"),
-     "aed7392f22b6df3c1f034dfd1ccc4f3c76cb605d9bb29952aa91b6efc0b9ff4d"),
+     "fb347eba9fda8620ef07977ad4b205a128c3ef063b7d42b16e2f909373c72765"),
     (("riemann", "--poly", POLYS[2], "--nu-exp", "2", "--json"),
-     "4517abc8f7089d0cab2cc92c1fd4381d2f2e4a58f78cf3e4ca2102968a37581a"),
+     "bfe49653cedd3101bc2126681feff096967ff2705df936fd707c3d52111a22e2"),
     (("riemann", "--poly", POLYS[2], "--nu-exp", "1/2", "--json"),
-     "e5f30b355ca9dc281bc9ef83dbdaa47d4a9b1c9ad6616d44cf1ea64fcddab1d9"),
+     "2e5374d494df7a46865a6e11ddb4aab704413987866031a029354c224895a82c"),
     (("pipeline", "--poly", POLYS[0], "--nu-exp", "1"),
      "5db7ee50e1f1eb620f2d1c4fdb7083e4f5171bc403116f5e73560b53e8d3125d"),
     (("pipeline", "--poly", POLYS[1], "--nu-exp", "2"),
@@ -335,9 +342,9 @@ JSON_DIGESTS = [
     (("smooth", "--input", STAIRCASE, "--shape", "quintic", "--eps-exp=-1/2", "--json"),
      "3b72ce5b7a6d2ca7b78628728ab6d6c11f8af1362d97fa5a43bc6ce111183714"),
     (("riemann", "--poly", SPARSE[0], "--nu-exp", "3", "--json"),
-     "3bd5a9faf574e0ef1bbf6f78ec50e209bac2fcb854c27ade92be76c99fb8a0fe"),
+     "e0172800a267c4ef5c32aea2345fc9b4ba6bbfca3820da68659dad0721777b44"),
     (("riemann", "--poly", SPARSE[1], "--nu-exp", "3", "--json"),
-     "8ed22ac53efd781babb09c99597ceed553d98ade1e873c5edb9a592dd5dbbc0f"),
+     "4c8776c6464427411eacfb469e72b0d2a0e922eb5811588c33fd7b0321f4c746"),
     (("pipeline", "--poly", SPARSE[0], "--nu-exp", "3"),
      "7738820657ec43b981699074b503d988d79748b5567b0e5616c8146eca116474"),
 ]

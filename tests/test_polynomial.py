@@ -17,7 +17,7 @@ from gossamer import (
     scale_integral_identity,
     shift_integral_identity,
 )
-from gossamer.polynomial import _at_reciprocal, _horner
+from gossamer.polynomial import _at_reciprocal, _horner, _integer_form, _reciprocal_form
 from strategies import polynomials, rationals, same_value
 
 H = omega(-1)
@@ -149,6 +149,16 @@ reciprocal_second_powers = st.sampled_from([None, Fraction(1, 2), -1])
 reciprocal_floors = st.sampled_from([-16, -9, Fraction(-7, 2), -1, 0, 2])
 
 
+def read_at_reciprocal(q, nu):
+    """q(1/nu) from q's numerators up to the reach and the bit above it; Horner off the form."""
+    form = _reciprocal_form(nu)
+    if form is None:
+        return _horner(q.coefficients, nu.inverse())
+    common, numerators = _integer_form(q)
+    low = max(min(form[-1], q.degree) + 1, 0)
+    return _at_reciprocal(common, numerators[:low], any(numerators[low:]), nu, form)
+
+
 @given(
     relabel_polynomials,
     reciprocal_exponents,
@@ -163,7 +173,7 @@ def test_reciprocal_relabelling_matches_horner(q, e, c, k, s, floor, truncated):
     second = () if s is None else ((s * e, 1),)
     nu = Gossamer(((e, c), (0, k)) + second, floor=floor, truncated=truncated)
     assume(nu.terms)
-    assert same_value(_at_reciprocal(q.coefficients, nu), _horner(q.coefficients, nu.inverse()))
+    assert same_value(read_at_reciprocal(q, nu), _horner(q.coefficients, nu.inverse()))
 
 
 # A rational point q as an int, a Fraction and the series q*w^0 (the zero

@@ -26,7 +26,8 @@ from gossamer import (
     run_suite,
     uniform_riemann_sum,
 )
-from gossamer.polynomial import _horner
+from gossamer.core import _common_numerators
+from gossamer.polynomial import _horner, _integer_form
 from gossamer.riemann import _inverse, _scaled_integral, _width_polynomial
 from strategies import (
     euler_maclaurin_polynomial,
@@ -210,10 +211,15 @@ class TestUniformSum:
 def test_power_sum_fold_matches_both_oracles(f):
     # Q_f by Euler-Maclaurin against the reflected Faulhaber fold and against
     # f's derivatives at 0 and 1; G by the integer fold against Polynomial sums.
-    q_f = _width_polynomial(f.coefficients)
+    q_f = _width_polynomial(f)
     assert q_f == width_polynomial(f) == euler_maclaurin_polynomial(f)
     assert all(type(q) is Fraction for q in q_f.coefficients)
-    assert indefinite_sum(f).point_function == point_polynomial(f)
+    point = indefinite_sum(f).point_function
+    assert point == point_polynomial(f)
+    # Both keep the integer form an integer reader would take from their coefficients.
+    for p in (q_f, point):
+        common, numerators = _common_numerators(p.coefficients)
+        assert _integer_form(p) == (common, tuple(numerators))
 
 
 @given(sparse_or_dense)
@@ -267,6 +273,36 @@ class TestReciprocalRead:
         f, nu = self.EDGES[edge]
         q = width_polynomial(f)
         assert same_value(uniform_riemann_sum(f, nu).value, _horner(q.coefficients, nu.inverse()))
+
+    # (f, nu, flagged): where Q_f is cut at the reach.  Q_f's degree cannot be
+    # read off deg f: it is 0 or a constant for the cubic below, and x^17
+    # has q_17 = B_17*17/17 = 0 above the reach 16 at w, where x^18 has
+    # q_18 = B_18 != 0.
+    REACH_EDGES = {
+        "zero-Q-at-w+1": (Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x"), omega() + 1, False),
+        "zero-Q-at-w": (Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x"), omega(), False),
+        "constant-Q-at-w+1": (Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x + 1"), omega() + 1, False),
+        "constant-Q-at-w": (Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x + 1"), omega(), False),
+        "constant-Q-at-truncated-w": (
+            Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x + 1"),
+            Gossamer(((1, 1),), truncated=True),
+            False,
+        ),
+        "x^17-at-w": (Polynomial.monomial(17), omega(), False),
+        "x^18-at-w": (Polynomial.monomial(18), omega(), True),
+        "sparse-degree-80-at-w^2": (
+            Polynomial.parse("-5/6*x^80 + 7/30*x^41 + 2*x^3 - 1"),
+            omega(2),
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("edge", REACH_EDGES)
+    def test_reach_edges_match_horner(self, edge):
+        f, nu, flagged = self.REACH_EDGES[edge]
+        value = uniform_riemann_sum(f, nu).value
+        assert same_value(value, _horner(width_polynomial(f).coefficients, nu.inverse()))
+        assert value.truncated is flagged
 
 
 class TestRiemannLimit:

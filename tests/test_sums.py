@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gossamer.core
+import gossamer.polynomial
+import gossamer.riemann
 import gossamer.sums
 from gossamer import (
     ClosedFormSum,
@@ -19,6 +22,7 @@ from gossamer import (
     sum_interval_bruteforce,
     sum_to_integral_bridge,
 )
+from gossamer.core import _common_numerators
 from strategies import point_polynomial, polynomials
 
 K = Polynomial.parse("k")
@@ -230,6 +234,23 @@ class TestPrefixSumsMatch:
 
         monkeypatch.setattr(gossamer.sums, "sum_interval_bruteforce", refuse)
         assert sum_ftc(K, 1, 10**6).value == 500000500000
+
+    def test_each_polynomial_takes_its_lcm_once(self, monkeypatch):
+        # The CLI's oracle evaluates both polynomials at deg g + 2 points; each
+        # keeps its numerators over their lcm after the first evaluation.
+        calls = []
+
+        def counting(coefficients):
+            calls.append(len(coefficients))
+            return _common_numerators(coefficients)
+
+        for module in (gossamer.core, gossamer.polynomial, gossamer.riemann, gossamer.sums):
+            if hasattr(module, "_common_numerators"):
+                monkeypatch.setattr(module, "_common_numerators", counting)
+        g = Polynomial.parse("3/7*k^5 - 1/2*k^2 + 1/3")
+        point = Polynomial(point_polynomial(g).coefficients)  # a fresh copy, no form yet
+        assert prefix_sums_match(g, point)
+        assert len(calls) <= 2
 
 
 class TestBridge:
