@@ -203,6 +203,7 @@ def _cmd_ftc(args) -> int:
         "difference_quotient": str(check.difference_quotient),
         "recovered": str(check.recovered),
         "equal": check.equal,
+        "truncated": check.difference_quotient.truncated,
     }
     _emit(
         payload,
@@ -321,6 +322,7 @@ def _cmd_pipeline(args) -> int:
         ],
         "remainder": str(trace.remainder),
         "remainder_negligible": trace.remainder_negligible,
+        "truncated": trace.remainder.truncated or any(s.value.truncated for s in trace.stages),
     }
     _emit(payload, True, ())
     # None (a nonzero remainder against a zero integral) is no failure.

@@ -158,7 +158,7 @@ class Gossamer:
 
     def coefficient(self, exponent: RationalLike) -> Fraction:
         """Coefficient of ``w^exponent`` (zero when absent)."""
-        e = Fraction(exponent)
+        e = exponent if type(exponent) is int else Fraction(exponent)
         for exp, coeff in self.terms:
             if exp == e:
                 return coeff
@@ -364,10 +364,23 @@ class Gossamer:
         other = self._coerce(other)
         if other is None:
             raise TypeError(f"cannot compare Gossamer with {type(other).__name__}")
-        difference = self - other
-        if not difference.terms:
+        # The first exponent where the descending terms differ leads the
+        # difference, which keeps no term below the higher floor.
+        a, b = self.terms, other.terms
+        i, shared = 0, min(len(a), len(b))
+        while i < shared and a[i] == b[i]:
+            i += 1
+        if i < shared and a[i][0] == b[i][0]:
+            e, positive = a[i][0], a[i][1] > b[i][1]
+        elif i < len(a) and (i == len(b) or a[i][0] > b[i][0]):
+            e, positive = a[i][0], a[i][1] > 0
+        elif i < len(b):
+            e, positive = b[i][0], b[i][1] < 0
+        else:
             return 0
-        return 1 if difference.terms[0][1] > 0 else -1
+        if e < max(self.truncation_floor, other.truncation_floor):
+            return 0
+        return 1 if positive else -1
 
     def much_less(self, other) -> bool:
         """Infinitely smaller in magnitude: strictly smaller leading exponent."""

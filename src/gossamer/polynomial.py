@@ -303,14 +303,22 @@ def _relabel(p: Polynomial, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
     else:
         lo, hi = max(0, math.ceil(floor / e)), top
     dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
-    terms = _terms(shifted, lo, hi, e, c.numerator, c.denominator, common)
+    # At x = w^e (c = 1, k = 0) term j's coefficient is p's own j-th.
+    own = p.coefficients if c == 1 and not k else None
+    terms = _terms(shifted, lo, hi, e, c.numerator, c.denominator, common, own)
     if e > 0:
         terms.reverse()
     return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
 
 
-def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int) -> list:
-    """``(j*e, r_j*(cn/cd)^j/common)`` for each nonzero r_j, j = lo..hi, in that order."""
+def _terms(
+    numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int, own=None
+) -> list:
+    """``(j*e, r_j*(cn/cd)^j/common)`` for each nonzero r_j, j = lo..hi, in that order.
+
+    ``own``, when given, holds those coefficients already as ``Fraction``s
+    (p's own, at cn/cd = 1 and no shift), which are then taken as they are.
+    """
     en, ed = e.numerator, e.denominator
     power_n, power_d = cn**lo, common * cd**lo
     terms = []
@@ -319,7 +327,7 @@ def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, com
         if r:
             n = j * en
             exponent = n // ed if not n % ed else Fraction(n, ed)
-            terms.append((exponent, Fraction(r * power_n, power_d)))
+            terms.append((exponent, own[j] if own else Fraction(r * power_n, power_d)))
         power_n *= cn
         power_d *= cd
     return terms

@@ -4,9 +4,10 @@ The sum over j of f(j/nu)*(1/nu) is never iterated: it is one rational
 polynomial Q_f in the panel width 1/nu, the Euler-Maclaurin form,
 evaluated once at 1/nu; its standard part, Q_f(0), is the integral and
 its lower-order terms the remainder.  Q_f's coefficients come, as integer
-numerators over their lcm, from f's integer numerators and the cached
-Bernoulli numbers, which solve their defining recurrence; the
-``faulhaber`` rows serve the sums module.  At nu = c*w^e + k (k an
+numerators over their lcm, from f's integer numerators and a row of
+Bernoulli weights B_i/i over one lcm, cached per reach; the Bernoulli
+numbers solve their defining recurrence, and the ``faulhaber`` rows serve
+the sums module.  At nu = c*w^e + k (k an
 integer) only the q_i whose term can reach nu's floor are built, with
 one bit for whether any higher one is nonzero, and Q_f(1/nu) is read off
 their numerators, by Horner's rule in the series of 1/nu when k != 0,
@@ -66,6 +67,20 @@ def bernoulli_number(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _bernoulli_weights(top: int) -> tuple:
+    """``(R, weights)``: the weights B_i/i, i = 1..top, as integers over R, cached per top.
+
+    R is the lcm of i*den(B_i) over the nonzero B_i, and weight i is
+    B_i/i*R, so q_i = weight_i*s_i/(R*M) in ``_width_numerators``.
+    """
+    bernoulli = [bernoulli_number(i) for i in range(1, top + 1)]
+    scale = math.lcm(*[b.denominator * i for i, b in enumerate(bernoulli, 1) if b])
+    return scale, tuple(
+        [b.numerator * (scale // (b.denominator * i)) for i, b in enumerate(bernoulli, 1)]
+    )
+
+
+@lru_cache(maxsize=None)
 def faulhaber(p: int) -> Polynomial:
     """Closed form S_p with S_p(n) = sum_{k=1}^{n} k^p; degree p+1, no constant term."""
     if p < 0:
@@ -111,12 +126,14 @@ def _width_numerators(f: Polynomial, reach: int) -> tuple:
     q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)) = B_i*s_i/(i*M), where
     s_i = sum_{d >= i} a_d*C(d, i-1) over f's numerators a_d and their lcm
     M; q_0 = s_0/(S*M), s_0 = sum_d a_d*S/(d + 1), S the lcm of the d + 1.
-    q_0..q_r, r = min(reach, deg f), go over one common denominator and take
-    one gcd, which leaves them as numerators over their lcm L.  Above r,
+    The weights B_i/i, i = 1..r, r = min(reach, deg f), come as integers
+    over their lcm R from a row cached per r (``_bernoulli_weights``);
+    q_0..q_r go over one common denominator and take one gcd, which leaves
+    them as numerators over their lcm L.  Above r,
     ``beyond`` says whether any q_i is nonzero: s_i is summed from the top
     down to the first nonzero one, and odd i >= 3, where B_i = 0, are
-    skipped.  f belongs to the caller: its numerators are taken here and
-    not stored on it.
+    skipped.  f belongs to the caller: its numerators are taken here on
+    every call and not stored on it; the weight row is keyed by r alone.
     """
     common, numerators = _common_numerators(f.coefficients)
     terms = [(d, a) for d, a in enumerate(numerators) if a]
@@ -131,12 +148,11 @@ def _width_numerators(f: Polynomial, reach: int) -> tuple:
 
     top = min(reach, len(numerators) - 1)
     beyond = any(moment(i) for i in range(len(numerators) - 1, max(top, -1), -1))
-    bernoulli = [bernoulli_number(i) for i in range(1, top + 1)]
-    scale = math.lcm(spans, *[b.denominator * i for i, b in enumerate(bernoulli, 1) if b])
+    weight_scale, weights = _bernoulli_weights(top)
+    scale = math.lcm(spans, weight_scale)
     q = [moment(0) * (scale // spans)] if top >= 0 else []
-    q += [
-        b.numerator * moment(i) * (scale // (b.denominator * i)) for i, b in enumerate(bernoulli, 1)
-    ]
+    lift = scale // weight_scale
+    q += [w * moment(i) * lift for i, w in enumerate(weights, 1)]
     return (*_lowest_terms(scale * common, q), beyond)
 
 

@@ -4,13 +4,14 @@ A sum over a range factors through a single unary point function G, so
 interval sums are differences of point values, with infinite endpoints
 evaluating symbolically.  G is certified at construction, never by
 summing the range: every ``ClosedFormSum`` checks that G telescopes to g
-over integers, by a Taylor shift of G's numerators over their lcm; the
-shift is the one ``polynomial`` uses to evaluate G at an infinite
-endpoint w + k.  G itself is the power-sum fold sum_d c_d*S_d over the
-cached ``faulhaber`` rows, added as integer numerators over one lcm; it is
-the library's only fold over those rows.  Each row keeps its numerators,
-so it pays its lcm once per process, and G keeps the numerators it was
-built from, so the certificate and G at an endpoint take no lcm at all.
+over integers, by one exact zero test at a power of two past the roots
+the residual could have, in O(deg G) shifts and adds.  G itself is the
+power-sum fold sum_d c_d*S_d over the cached ``faulhaber`` rows, added as
+integer numerators over one lcm; it is the library's only fold over those
+rows.  Each row keeps its numerators, so it pays its lcm once per process,
+and G keeps the numerators it was built from, so the certificate and G at
+an endpoint take no lcm of G's again.  ``sum_ftc`` builds no series it
+does not return: a finite lower endpoint makes G(a - 1) a rational.
 ``prefix_sums_match``, G against running totals at deg g + 2 points, is
 the CLI's independent oracle.
 """
@@ -19,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import NamedTuple, Union
 
-from .core import Gossamer, _lowest_terms
-from .polynomial import Polynomial, _from_numerators, _integer_form, _taylor_shift
+from .core import DEFAULT_TRUNCATION_FLOOR, Gossamer, _common_numerators, _lowest_terms
+from .polynomial import Polynomial, _at_rational, _from_numerators, _integer_form
 from .riemann import faulhaber
 from .steps import StepFunction
 
@@ -47,9 +47,15 @@ Endpoint = Union[int, Fraction, Gossamer]
 class ClosedFormSum:
     """A term g(k) together with its point function G(n) = sum_{k=1}^{n} g(k).
 
-    Construction checks G(0) = 0 and G(n) - G(n-1) = g(n) in integers:
-    G(n-1) comes from G's numerators by an integer Taylor shift by -1,
-    and the difference is cross-multiplied against g.
+    Construction checks G(0) = 0 and G(n) - G(n-1) = g(n) in integers, by
+    one exact zero test.  With G = N/L (G's integer form) and g = T/s
+    (g's numerators over their lcm, taken afresh: g is the caller's), G
+    telescopes to g exactly when P(n) = s*(N(n) - N(n-1)) - L*T(n) is the
+    zero polynomial.  Each |P_j| is at most B = s*2^(D+1)*sum|N_i| +
+    L*sum|T_j|, D = deg G, so by Cauchy's bound a nonzero P, an integer
+    polynomial, has no root of modulus 1 + B or more.  X = 2^k with
+    k = B.bit_length() + 1 lies past that, so P(X) = 0 forces P = 0.
+    N(X), N(X-1) and T(X) are Horner passes of shifts and adds.
     """
 
     term: Polynomial
@@ -60,12 +66,18 @@ class ClosedFormSum:
         if point and point[0]:
             raise ValueError("point function must vanish at 0")
         common, numerators = _integer_form(self.point_function)
-        shifted = _taylor_shift(numerators, -1)  # G(n-1) over the same lcm
-        term = self.term.coefficients
-        if any(
-            (n - s) * t.denominator != t.numerator * common
-            for n, s, t in zip_longest(numerators, shifted, term, fillvalue=0)
-        ):
+        scale, term = _common_numerators(self.term.coefficients)
+        bound = (scale * sum(map(abs, numerators)) << len(numerators)) + common * sum(
+            map(abs, term)
+        )
+        k = bound.bit_length() + 1
+        at_x = at_x_less_one = at_term = 0
+        for n in reversed(numerators):
+            at_x = (at_x << k) + n
+            at_x_less_one = (at_x_less_one << k) - at_x_less_one + n
+        for t in reversed(term):
+            at_term = (at_term << k) + t
+        if scale * (at_x - at_x_less_one) != common * at_term:
             raise ValueError("point function does not telescope to the term")
 
 
@@ -147,20 +159,52 @@ class SumBridge(NamedTuple):
 
 def _endpoint(x: Endpoint) -> Gossamer:
     """x as a series: an integer plus infinite terms (w + 1 is an endpoint, w + 1/2 is not)."""
-    x = x if isinstance(x, Gossamer) else Gossamer.from_rational(Fraction(x))
+    if not isinstance(x, Gossamer):
+        q = Fraction(x)
+        x = Gossamer._make(((0, q),) if q else (), DEFAULT_TRUNCATION_FLOOR, False)
     if x.coefficient(0).denominator != 1 or any(e < 0 for e, _ in x.terms):
         raise ValueError(f"endpoint needs an integer finite part, got {x}")
     return x
+
+
+def _less_rational(x: Gossamer, q: Fraction, floor: Fraction, truncated: bool) -> Gossamer:
+    """x - q for a constant q held at ``floor`` with the flag ``truncated``.
+
+    The value is the one subtracting q's series would give.  x has no term
+    below w^0 (G at an endpoint), so its constant term, if any, is its
+    last.  As in ``Gossamer.__add__``, a floor other than x's lifts the
+    result to the higher of the two, dropping, with the flag, the terms
+    below it.
+    """
+    terms = x.terms
+    if q:
+        if terms and terms[-1][0] == 0:
+            e, c = terms[-1]
+            c -= q
+            terms = terms[:-1] + (((e, c),) if c else ())
+        else:
+            terms = (*terms, (0, -q))
+    truncated = x.truncated or truncated
+    if floor is not x.truncation_floor:
+        floor = max(x.truncation_floor, floor)
+        kept = len(terms)
+        while kept and terms[kept - 1][0] < floor:
+            kept -= 1
+        if kept < len(terms):
+            truncated = True
+            terms = terms[:kept]
+    return Gossamer._make(terms, floor, truncated)
 
 
 def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     """sum_{k=a}^{b} g(k) = G(b) - G(a-1), both endpoints included.
 
     Infinite endpoints give the exact symbolic value: at w + k, G's
-    coefficients relabelled.  A finite endpoint is a rational point, where
-    G takes one Horner pass over its integer numerators; at a = 1, G(a-1)
-    is G at the zero series, G's constant term 0, with no pass at all.
-    The sum over a+1..b is G(b) - G(a), i.e.
+    coefficients relabelled.  At a finite a = r, G(r-1) is a rational, one
+    Horner pass over G's integer numerators, and none at r = 1, where it
+    is G's constant term 0; the value is G(b) less that rational, with the
+    floor and flag the series G(a - 1) would carry.  An infinite a takes
+    G(a - 1) as a series.  The sum over a+1..b is G(b) - G(a), i.e.
     ``sum_at_point(s, b) - sum_at_point(s, a)``.  No oracle runs here;
     construction certifies the closed form.
     """
@@ -168,7 +212,17 @@ def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     if a.compare(b) > 0:
         raise ValueError(f"empty range: {a} > {b}")
     s = indefinite_sum(g)
-    return SumFtcResult(sum_at_point(s, b) - sum_at_point(s, a - 1), s)
+    upper = sum_at_point(s, b)
+    if a.terms and a.terms[0][0] > 0:
+        return SumFtcResult(upper - sum_at_point(s, a - 1), s)
+    # The series a - 1 is empty at a positive floor, where the 1 drops with
+    # the flag, so G is read at 0 there.
+    floor = a.truncation_floor
+    below = 0 if floor > 0 else (a.terms[0][1] if a.terms else 0) - 1
+    point_function = s.point_function
+    lower = _at_rational(point_function, below)
+    truncated = (a.truncated or floor > 0) and point_function.degree > 0
+    return SumFtcResult(_less_rational(upper, lower, floor, truncated), s)
 
 
 def sum_to_integral_bridge(g: Polynomial, a: int, b: int) -> SumBridge:

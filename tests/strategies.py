@@ -4,7 +4,15 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from gossamer import Gossamer, Polynomial, StepFunction, bernoulli_number, faulhaber
+from gossamer import (
+    Gossamer,
+    Polynomial,
+    StepFunction,
+    bernoulli_number,
+    faulhaber,
+    indefinite_sum,
+    sum_at_point,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -91,3 +99,10 @@ def point_polynomial(g):
     for degree, c in enumerate(g.coefficients):
         expected = expected + c * faulhaber(degree)
     return expected
+
+
+def point_value_difference(g, a, b):
+    """sum_{k=a}^{b} g(k) as G(b) - G(a - 1) in series arithmetic, both endpoints as series."""
+    a, b = (x if isinstance(x, Gossamer) else Gossamer.from_rational(x) for x in (a, b))
+    s = indefinite_sum(g)
+    return sum_at_point(s, b) - sum_at_point(s, a - 1)

@@ -74,6 +74,18 @@ class TestFtc:
         out = capsys.readouterr().out
         assert "quotient = 4 + 2*w^-1 + 1/3*w^-2; recovered = 4; equal = true" in out
 
+    @pytest.mark.parametrize(
+        "argv, truncated",
+        [
+            (["--poly", "x^20", "--x", "1", "--h-exp", "-1"], True),
+            (["--poly", "x^2", "--x", "1"], False),
+        ],
+    )
+    def test_json_says_when_the_quotient_dropped_a_term(self, capsys, argv, truncated):
+        # (F(1 + h) - F(1))/h for F of degree 21 reaches h^20 = w^-20, below the floor.
+        assert main(["ftc", *argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["truncated"] is truncated
+
     def test_h_must_be_infinitesimal(self, capsys):
         assert main(["ftc", "--poly", "x^2", "--x", "2", "--h-exp", "1"]) == 2
         assert option_error(capsys).startswith("error: --h-exp must be negative")
@@ -193,6 +205,12 @@ class TestPipeline:
         assert stages[0]["value"] == stages[1]["value"] == stages[2]["value"] == "1/3"
         assert stages[3]["value"] == "1/3 + 1/2*w^-1 + 1/6*w^-2"
 
+    @pytest.mark.parametrize("nu_exp, truncated", [("3", True), ("1", False)])
+    def test_says_when_a_stage_dropped_a_term(self, capsys, nu_exp, truncated):
+        # At w^3 the sum's w^-18 term lies below the floor, -16.
+        assert main(["pipeline", "--poly", "x^6 + x", "--nu-exp", nu_exp]) == 0
+        assert json.loads(capsys.readouterr().out)["truncated"] is truncated
+
     @pytest.mark.parametrize("nu_exp", ["0", "-1"])
     def test_non_infinite_count_is_usage(self, nu_exp, capsys):
         assert main(["pipeline", "--poly", "x^2", "--nu-exp", nu_exp]) == 2
@@ -300,7 +318,9 @@ class TestEnvFloor:
 
 # sha256 of the stdout of each command.  Payloads are exact, so a refactor
 # must leave every byte in place; a change that means to move one updates
-# the digest and says why.
+# the digest and says why.  The ftc and pipeline payloads gained a
+# "truncated" field: their JSON_DIGESTS entry is the digest of the payload
+# without it, so no older byte can move, and WITH_TRUNCATED pins the whole.
 STAIRCASE = '{"breakpoints": ["-1", "1/2", "3"], "levels": ["0", "2", "-1/3", "5"]}'
 POLYS = ("x^2", "3*x^6 - 2*x^3 + x", "1/2*x^5 + x^4 - 7/3*x + 2")
 SPARSE = ("x^40 - 3*x^17 + 1/2*x^5 + 2", "5/3*x^40 + x^33 - 7*x^2")  # terms down to w^-120, far below the floor
@@ -350,11 +370,33 @@ JSON_DIGESTS = [
 ]
 
 
+WITH_TRUNCATED = {
+    JSON_DIGESTS[9][0]: "c412df3f42a23485edce0e17d4954f3ea6d345025d545067d2198a15cac583db",
+    JSON_DIGESTS[10][0]: "ee813eb18a06763b108d9d6bb9a3b8ede5f6b4c23c90bb0f109397d80f7be6da",
+    JSON_DIGESTS[11][0]: "20ea5ca1ab93d8d579fe6a6129d2427edad282cdef42467754646ed5e6ed7be3",
+    JSON_DIGESTS[12][0]: "b6ffe1fc66e3f594c3a0e1f2e9241d0d9e8163255e90a15e917a32b103c22bc5",
+    JSON_DIGESTS[13][0]: "581dcd6162eb57624fba5c02d8609f7d490443dd23e02b25b11e8438e42ac9aa",
+    JSON_DIGESTS[14][0]: "5b3f280539ce25563630afb44fc6d8ccb8900c6cbfc427c639fb795837981afb",
+    JSON_DIGESTS[20][0]: "2c74721149effa438d1f305aa290ad6aa8c9de375ead2c78f4c8f7ffada96314",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv, digest", JSON_DIGESTS)
 def test_json_payload_matches_recorded_digest(argv, digest, tmp_path, capsys):
+    command = argv
     if argv[0] == "smooth":  # the step function is passed as a file
         path = tmp_path / "step.json"
         path.write_text(argv[2], encoding="utf-8")
-        argv = (argv[0], argv[1], str(path), *argv[3:])
-    assert main(list(argv)) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        command = (argv[0], argv[1], str(path), *argv[3:])
+    assert main(list(command)) == 0
+    out = capsys.readouterr().out
+    if argv[0] in ("ftc", "pipeline"):
+        assert sha256(out) == WITH_TRUNCATED[argv]
+        payload = json.loads(out)
+        del payload["truncated"]
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert sha256(out) == digest

@@ -505,6 +505,38 @@ def test_kernel_matches_general_constructor(a, b, scalar, level):
     check_kernel(b, a, scalar, level)
 
 
+# Few terms over few exponents and floors, so that two values often share a
+# prefix, then differ at one exponent or below the higher floor.
+compare_coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+compare_terms = st.lists(
+    st.tuples(st.integers(-6, 6).map(lambda n: Fraction(n, 2)), compare_coefficients),
+    max_size=5,
+)
+compare_floors = st.sampled_from([None, -2, 0, Fraction(1, 2), 1])
+
+
+@st.composite
+def compare_pairs(draw):
+    """A value and another sharing a prefix of its terms, or a rational, at random floors."""
+    a = Gossamer(draw(compare_terms), floor=draw(compare_floors), truncated=draw(st.booleans()))
+    cut = draw(st.integers(0, len(a.terms)))
+    # b's next term sits at a's next exponent, with its own coefficient.
+    same = [(e, draw(compare_coefficients)) for e, _ in a.terms[cut : cut + 1]]
+    b = Gossamer(
+        a.terms[:cut] + tuple(same) + tuple(draw(compare_terms)),
+        floor=draw(compare_floors),
+        truncated=draw(st.booleans()),
+    )
+    return a, draw(st.one_of(st.just(b), st.just(a), st.integers(-2, 2)))
+
+
+@given(compare_pairs())
+def test_compare_is_the_sign_of_the_leading_difference(pair):
+    a, b = pair
+    difference = (a - b).terms
+    assert a.compare(b) == (0 if not difference else 1 if difference[0][1] > 0 else -1)
+
+
 @pytest.mark.parametrize(
     "a, b",
     [

@@ -13,6 +13,7 @@ from gossamer import (
     ClosedFormSum,
     Gossamer,
     Polynomial,
+    faulhaber,
     indefinite_sum,
     lower_sum_at_point,
     omega,
@@ -23,7 +24,7 @@ from gossamer import (
     sum_to_integral_bridge,
 )
 from gossamer.core import _common_numerators
-from strategies import point_polynomial, polynomials
+from strategies import point_polynomial, point_value_difference, polynomials, same_value
 
 K = Polynomial.parse("k")
 K2 = Polynomial.parse("k^2")
@@ -112,6 +113,62 @@ class TestCertificate:
         else:
             point = other
         assert certified(g, point) == telescopes(g, point)
+
+
+def certificate_exponent(point, term):
+    """The k of the certificate's test point 2^k, from the bound its docstring states."""
+    common, numerators = _common_numerators(point.coefficients)
+    scale, term_numerators = _common_numerators(term.coefficients)
+    bound = scale * 2 ** len(numerators) * sum(map(abs, numerators)) + common * sum(
+        map(abs, term_numerators)
+    )
+    return bound.bit_length() + 1
+
+
+def near_miss(point, degree, delta, j):
+    """point + delta*(S_{degree+1} - 2^j*S_degree), S_d the power sums.
+
+    Its residual against point's term is delta*n^degree*(n - 2^j), which
+    vanishes at n = 2^j and nowhere else past 0.
+    """
+    return point + delta * (faulhaber(degree + 1) - 2**j * faulhaber(degree))
+
+
+class TestCertificateBound:
+    """Pairs whose residual vanishes at a power of two: a test point picked too low can hit it."""
+
+    @pytest.mark.parametrize(
+        "term, degree",
+        [
+            (Polynomial.parse("3/2*k^4 - 1/3*k + 5/7"), 0),
+            (Polynomial.parse("3/2*k^4 - 1/3*k + 5/7"), 4),  # G one degree too high
+            (Polynomial(), 0),  # g = 0, G != 0
+            (Polynomial(), 3),
+        ],
+        ids=["linear-miss", "degree-too-high", "zero-term", "zero-term-cubic-miss"],
+    )
+    def test_rejects_near_misses_at_every_power_of_two(self, term, degree):
+        point = indefinite_sum(term).point_function
+        assert certified(term, point)
+        for delta in (Fraction(1), Fraction(-3, 5)):
+            # j runs a few bits past the k the check picks for the pair itself
+            # and for the near miss at j = 0, so a check blind to G's size hits one.
+            first = near_miss(point, degree, delta, 0)
+            last = max(certificate_exponent(point, term), certificate_exponent(first, term))
+            for j in range(last + 5):
+                wrong = near_miss(point, degree, delta, j)
+                x = Fraction(2**j)
+                assert wrong.evaluate(x) - wrong.evaluate(x - 1) == term.evaluate(x)
+                assert not certified(term, wrong), j
+
+    def test_zero_term_and_zero_point(self):
+        assert certified(Polynomial(), Polynomial())
+
+    @pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 3)])
+    def test_zero_point_rejects_terms_vanishing_at_a_power_of_two(self, scale):
+        for m in range(40):
+            term = scale * Polynomial((-(2**m), 1))  # (k - 2^m)*scale
+            assert not certified(term, Polynomial()), m
 
 
 class TestSumAtPoint:
@@ -211,6 +268,56 @@ class TestSumFtc:
         # stand-in, reproduces the brute-force sum.
         value = sum_ftc(g, 1, omega()).value
         assert value.at_omega(n) == sum_interval_bruteforce(g, 1, n)
+
+
+# Endpoints for sum_ftc: ints, finite series, c*w^e + k and other infinite
+# values, with random floors (positive ones included) and flags.
+endpoint_floors = st.sampled_from([None, -16, -3, 0, Fraction(1, 2), 2])
+endpoint_series = st.one_of(
+    st.integers(-5, 40).map(lambda n: ((0, n),)),
+    st.tuples(
+        st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 2)]),
+        st.sampled_from([1, 3, Fraction(1, 3), -1]),
+        st.integers(-3, 3),
+    ).map(lambda t: ((t[0], t[1]), (0, t[2]))),
+    st.sampled_from([((2, 1), (1, -2), (0, 5)), ((1, 1), (Fraction(1, 2), 1)), ((3, 1), (1, 1))]),
+)
+endpoints = st.one_of(
+    st.integers(-5, 40),
+    st.builds(Gossamer, endpoint_series, floor=endpoint_floors, truncated=st.booleans()),
+)
+
+
+class TestSumFtcMatchesPointValues:
+    @given(small_polys, endpoints, endpoints)
+    def test_value_is_the_point_value_difference(self, g, a, b):
+        # The oracle is G(b) - G(a - 1) in series arithmetic; an empty range
+        # is a positive leading term of a - b, with the same message.
+        a_series, b_series = (
+            x if isinstance(x, Gossamer) else Gossamer.from_rational(x) for x in (a, b)
+        )
+        gap = (a_series - b_series).terms
+        if gap and gap[0][1] > 0:
+            with pytest.raises(ValueError) as raised:
+                sum_ftc(g, a, b)
+            assert str(raised.value) == f"empty range: {a_series} > {b_series}"
+            return
+        assert same_value(sum_ftc(g, a, b).value, point_value_difference(g, a, b))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            Gossamer(floor=Fraction(1, 2)),
+            Gossamer(floor=2, truncated=True),
+            Gossamer(((0, 3),), floor=Fraction(1, 2)),
+        ],
+        ids=["zero", "truncated-zero", "dropped-three"],
+    )
+    def test_lower_endpoint_at_a_positive_floor(self, a):
+        # a - 1 drops the 1 below a positive floor; a + w keeps a's floor object.
+        for g in (K2, Polynomial.constant(5), Polynomial()):
+            for b in (omega(), a + omega()):
+                assert same_value(sum_ftc(g, a, b).value, point_value_difference(g, a, b))
 
 
 class TestPrefixSumsMatch:
