@@ -287,19 +287,21 @@ def _cmd_smooth(args) -> int:
     delta = area_delta(step, smoothed, lo, hi)
     budget = trapezoid_discontinuity_budget(step, eps)
     round_trip = transfer_to_real(smoothed) == step
+    area = smoothed_area(smoothed, lo, hi)
     payload = {
         "input": step.to_json_dict(),
         "shape": _SHAPE_ALIASES[args.shape].value,
         "eps": str(eps),
         "interval": [str(lo), str(hi)],
         "area": str(step.area(lo, hi)),
-        "smoothed_area": str(smoothed_area(smoothed, lo, hi)),
+        "smoothed_area": str(area),
         "area_delta": str(delta.delta),
         "delta_infinitesimal": delta.infinitesimal,
         "budget_per_bridge": [str(piece) for piece in budget.per_bridge],
         "budget_total": str(budget.total),
         "budget_infinitesimal": budget.infinitesimal,
         "round_trip_identity": round_trip,
+        "truncated": area.truncated or delta.delta.truncated or budget.total.truncated,
     }
     _emit(
         payload,

@@ -361,9 +361,10 @@ class Gossamer:
 
     def compare(self, other) -> int:
         """Sign of ``self - other``: -1, 0 or 1.  A total order extending Q."""
-        other = self._coerce(other)
-        if other is None:
+        coerced = self._coerce(other)
+        if coerced is None:
             raise TypeError(f"cannot compare Gossamer with {type(other).__name__}")
+        other = coerced
         # The first exponent where the descending terms differ leads the
         # difference, which keeps no term below the higher floor.
         a, b = self.terms, other.terms
@@ -384,17 +385,26 @@ class Gossamer:
 
     def much_less(self, other) -> bool:
         """Infinitely smaller in magnitude: strictly smaller leading exponent."""
-        other = self._coerce(other)
-        if other is None or not self.terms or not other.terms:
-            raise ZeroMagnitudeError("magnitude relation undefined for zero")
+        other = self._magnitude_operand(other)
         return self.terms[0][0] < other.terms[0][0]
 
     def asymptotic_to(self, other) -> bool:
         """Identical leading term; the difference is negligible against both sides."""
-        other = self._coerce(other)
-        if other is None or not self.terms or not other.terms:
-            raise ZeroMagnitudeError("magnitude relation undefined for zero")
+        other = self._magnitude_operand(other)
         return self.terms[0] == other.terms[0]
+
+    def _magnitude_operand(self, other) -> "Gossamer":
+        """``other`` as a series for a magnitude relation; both sides must be nonzero.
+
+        A non-numeric operand raises TypeError naming its type; a zero side
+        raises ZeroMagnitudeError.
+        """
+        coerced = self._coerce(other)
+        if coerced is None:
+            raise TypeError(f"magnitude relation undefined for Gossamer and {type(other).__name__}")
+        if not self.terms or not coerced.terms:
+            raise ZeroMagnitudeError("magnitude relation undefined for zero")
+        return coerced
 
     def infinitely_close_to(self, other) -> bool:
         """Difference is zero or infinitesimal."""
@@ -507,6 +517,16 @@ def _common_numerators(coefficients: Sequence[Fraction]) -> Tuple[int, list]:
     denominators = [c.denominator for c in coefficients]
     d = math.lcm(*denominators)
     return d, [c.numerator * (d // b) for c, b in zip(coefficients, denominators)]
+
+
+def _nonzero_numerators(coefficients: Sequence[Fraction]) -> Tuple[int, list]:
+    """``(d, [(i, n), ...])`` for each nonzero coefficient i, equal to ``n / d``, d their lcm.
+
+    A sparse polynomial's coefficients read by their nonzero terms alone.
+    """
+    terms = [(i, c.numerator, c.denominator) for i, c in enumerate(coefficients) if c]
+    d = math.lcm(*[b for _, _, b in terms])
+    return d, [(i, n * (d // b)) for i, n, b in terms]
 
 
 def _lowest_terms(d: int, numerators: Sequence[int]) -> Tuple[int, list]:

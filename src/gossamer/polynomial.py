@@ -8,13 +8,15 @@ grammar of ``parsing`` in one variable letter, with integer degrees.
 The exact evaluations run on a polynomial's integer form: its
 coefficients' numerators over their lcm, taken once per polynomial and
 kept on it (``_integer_form``), or kept from construction when a closed
-form was built in integers (``_from_numerators``).
+form was built in integers (``_from_numerators``).  Such a polynomial
+builds its ``Fraction`` coefficients only when they are first read, so a
+closed form whose readers take the integer form alone builds none.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .core import Gossamer, Kind, RationalLike, _common_numerators, _require_infinitesimal
 from .parsing import ParseError, read_terms, write_terms
@@ -33,6 +35,9 @@ __all__ = [
 
 Operand = Union[int, float, Fraction, Gossamer]
 
+# The zero coefficient every lazily built polynomial shares.
+_ZERO = Fraction(0)
+
 # The highest exponent Polynomial.parse accepts.  Parsing allocates one
 # coefficient per degree, and closed-form work grows fast with the degree
 # (a dense degree-100 ``riemann --nu-exp 3`` takes seconds).
@@ -45,15 +50,17 @@ class Polynomial:
     ``_form`` holds the coefficients' integer numerators over their lcm,
     ``(L, numerators)``, once an integer reader has asked for them
     (``_integer_form``), or from construction (``_from_numerators``).
+    ``_coefficients`` holds the ``Fraction``s, or None until the first read
+    of ``coefficients`` when the polynomial was built from its form alone.
     """
 
-    __slots__ = ("coefficients", "_form")
+    __slots__ = ("_coefficients", "_form")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+        self._coefficients: Optional[tuple[Fraction, ...]] = tuple(coeffs)
         self._form = None
 
     @classmethod
@@ -62,9 +69,20 @@ class Polynomial:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         value = object.__new__(cls)
-        value.coefficients = tuple(coeffs)
+        value._coefficients = tuple(coeffs)
         value._form = None
         return value
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The ``Fraction`` coefficients by degree, built from the integer form on first read."""
+        coefficients = self._coefficients
+        if coefficients is None:
+            common, numerators = self._form
+            coefficients = self._coefficients = tuple(
+                [Fraction(n, common) if n else _ZERO for n in numerators]
+            )
+        return coefficients
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
@@ -97,11 +115,14 @@ class Polynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1  # -1 for the zero polynomial
+        coefficients = self._coefficients
+        if coefficients is None:
+            coefficients = self._form[1]
+        return len(coefficients) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return self.degree < 0
 
     def evaluate(self, x: Operand):
         """The value at x; the result type follows the argument type.
@@ -245,28 +266,35 @@ def _integer_form(p: Polynomial) -> tuple:
 
 
 def _from_numerators(common: int, numerators: list) -> Polynomial:
-    """The polynomial with coefficients n_i/common, its integer form stored.
+    """The polynomial with coefficients n_i/common, stored as that integer form alone.
 
     ``common`` and ``numerators`` must be in lowest terms (``_lowest_terms``),
-    so the form is the one ``_integer_form`` would take.  Each ``Fraction``
-    is built once; trailing zero numerators are stripped.
+    so the form is the one ``_integer_form`` would take.  Trailing zero
+    numerators are stripped.  No ``Fraction`` is built here: ``coefficients``
+    builds them on its first read, and a reader of the form alone (the
+    degree, the ``ClosedFormSum`` certificate, a value at an integer or at
+    c*w^e + k with c != 1 or k != 0) never does.
     """
     while numerators and not numerators[-1]:
         numerators.pop()
     value = object.__new__(Polynomial)
-    value.coefficients = tuple([Fraction(n, common) for n in numerators])
+    value._coefficients = None
     value._form = (common, tuple(numerators))
     return value
 
 
-def _taylor_shift(numerators: Sequence[int], k: int) -> list:
-    """Coefficients of n(y + k), for the coefficients n of n(y), in integers alone."""
+def _taylor_shift(numerators: Sequence[int], k: int) -> Sequence[int]:
+    """Coefficients of n(y + k), for the coefficients n of n(y), in integers alone.
+
+    At k = 0 that is n itself, returned as it is.
+    """
+    if not k:
+        return numerators
     shifted = list(numerators)
     top = len(shifted) - 1
-    if k:
-        for i in range(top):
-            for j in range(top - 1, i - 1, -1):
-                shifted[j] += k * shifted[j + 1]
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            shifted[j] += k * shifted[j + 1]
     return shifted
 
 
@@ -289,19 +317,22 @@ def _relabel(p: Polynomial, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
 
     Horner's rule over the same x keeps exactly the terms at or above x's
     floor, drops the rest with the flag, and is truncated when x is and p
-    is not a constant; so is this.
+    is not a constant; so is this.  The terms come from p's integer form,
+    read as it is at k = 0; p's ``Fraction``s are read only at c = 1, k = 0.
     """
     floor = x.truncation_floor
-    if not p.coefficients:
-        return Gossamer._make((), floor, False)
     common, numerators = _integer_form(p)
+    if not numerators:
+        return Gossamer._make((), floor, False)
     shifted = _taylor_shift(numerators, k)
     top = len(shifted) - 1
-    # j*e >= floor bounds j above when e < 0 and below when e > 0.
+    # j*e >= floor bounds j above when e < 0 and below when e > 0; floor/e
+    # is n/d, and ``//`` floors it whatever the sign of d.
+    n, d = floor.numerator * e.denominator, floor.denominator * e.numerator
     if e < 0:
-        lo, hi = 0, min(top, math.floor(floor / e))
+        lo, hi = 0, min(top, n // d)
     else:
-        lo, hi = max(0, math.ceil(floor / e)), top
+        lo, hi = max(0, -(-n // d)), top
     dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
     # At x = w^e (c = 1, k = 0) term j's coefficient is p's own j-th.
     own = p.coefficients if c == 1 and not k else None
@@ -383,14 +414,13 @@ def _at_rational(p: Polynomial, q: Fraction) -> Fraction:
     """p(q) by Horner's rule over p's integer numerators; one ``Fraction``, built last.
 
     With p's numerators n_i over their lcm L and q = a/b, the loop sums
-    n_i*a^i*b^(d-i) in integers, and p(q) is that over L*b^d.
+    n_i*a^i*b^(d-i) in integers, and p(q) is that over L*b^d; p(0) is n_0/L.
     """
-    coefficients = p.coefficients
-    if not coefficients:
+    common, numerators = _integer_form(p)
+    if not numerators:
         return Fraction(0)
     if not q:
-        return coefficients[0]
-    common, numerators = _integer_form(p)
+        return Fraction(numerators[0], common)
     a, b = q.numerator, q.denominator
     acc, power = numerators[-1], 1
     for n in reversed(numerators[:-1]):
@@ -407,7 +437,7 @@ def _at_finite(p: Polynomial, x: Gossamer) -> Gossamer:
     """
     value = _at_rational(p, x.terms[0][1] if x.terms else 0)
     floor = x.truncation_floor
-    truncated = x.truncated and len(p.coefficients) > 1
+    truncated = x.truncated and p.degree > 0
     if floor > 0:
         return Gossamer._make((), floor, truncated or bool(value))
     return Gossamer._make(((0, value),) if value else (), floor, truncated)

@@ -4,14 +4,15 @@ The sum over j of f(j/nu)*(1/nu) is never iterated: it is one rational
 polynomial Q_f in the panel width 1/nu, the Euler-Maclaurin form,
 evaluated once at 1/nu; its standard part, Q_f(0), is the integral and
 its lower-order terms the remainder.  Q_f's coefficients come, as integer
-numerators over their lcm, from f's integer numerators and a row of
-Bernoulli weights B_i/i over one lcm, cached per reach; the Bernoulli
-numbers solve their defining recurrence, and the ``faulhaber`` rows serve
-the sums module.  At nu = c*w^e + k (k an
+numerators over one common denominator, from one pass over f's nonzero
+coefficients and a row of Bernoulli weights B_i/i over one lcm, cached
+per reach; the Bernoulli numbers solve their defining recurrence, and the
+``faulhaber`` rows serve the sums module.  At nu = c*w^e + k (k an
 integer) only the q_i whose term can reach nu's floor are built, with
 one bit for whether any higher one is nonzero, and Q_f(1/nu) is read off
 their numerators, by Horner's rule in the series of 1/nu when k != 0,
-with no series inverse and no ``Fraction`` coefficient.  An integral of f(x/nu) is nu*F(x/nu)
+with no series inverse and no ``Fraction`` coefficient: the output terms
+are the only ``Fraction``s built, and they reduce the numerators.  An integral of f(x/nu) is nu*F(x/nu)
 between its endpoints, F' = f.  A finite count n reads the full Q_f at 1/n.
 """
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .core import (
     Kind,
     RationalLike,
     ZeroMagnitudeError,
-    _common_numerators,
     _lowest_terms,
+    _nonzero_numerators,
     omega,
 )
 from .polynomial import Polynomial, _at_reciprocal, _from_numerators, _horner, _reciprocal_form
@@ -126,40 +127,47 @@ def _width_numerators(f: Polynomial, reach: int) -> tuple:
     q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)) = B_i*s_i/(i*M), where
     s_i = sum_{d >= i} a_d*C(d, i-1) over f's numerators a_d and their lcm
     M; q_0 = s_0/(S*M), s_0 = sum_d a_d*S/(d + 1), S the lcm of the d + 1.
-    The weights B_i/i, i = 1..r, r = min(reach, deg f), come as integers
-    over their lcm R from a row cached per r (``_bernoulli_weights``);
-    q_0..q_r go over one common denominator and take one gcd, which leaves
-    them as numerators over their lcm L.  Above r,
-    ``beyond`` says whether any q_i is nonzero: s_i is summed from the top
-    down to the first nonzero one, and odd i >= 3, where B_i = 0, are
-    skipped.  f belongs to the caller: its numerators are taken here on
-    every call and not stored on it; the weight row is keyed by r alone.
+    f is read once, by its nonzero coefficients, so a sparse f costs its
+    terms, not its degree.  The weights B_i/i, i = 1..r, r = min(reach,
+    deg f), come as integers over their lcm R from a row cached per r
+    (``_bernoulli_weights``); q_0..q_r go over one common denominator L,
+    and the s_i of a zero weight (odd i >= 3, where B_i = 0) are not
+    summed.  L is common to the q_i but not their lcm: the numerators are
+    not reduced, as the ``Fraction``s built from them reduce each term.
+    Above r, ``beyond`` says whether any q_i is nonzero: s_i is summed
+    from the top down to the first nonzero one, skipping the zero
+    weights, and down to s_0 when r < 0.  f belongs to the caller: its
+    numerators are taken here on every call and not stored on it; the
+    weight row is keyed by r alone.
     """
-    common, numerators = _common_numerators(f.coefficients)
-    terms = [(d, a) for d, a in enumerate(numerators) if a]
+    common, terms = _nonzero_numerators(f.coefficients)
     spans = math.lcm(*[d + 1 for d, _ in terms])
-
-    def moment(i: int) -> int:
-        if i == 0:
-            return sum(a * (spans // (d + 1)) for d, a in terms)
+    degree = terms[-1][0] if terms else -1
+    top = min(reach, degree)
+    beyond = False
+    for i in range(degree, max(top, -1), -1):
         if i > 2 and i % 2:
-            return 0
-        return sum(a * math.comb(d, i - 1) for d, a in terms if d >= i)
-
-    top = min(reach, len(numerators) - 1)
-    beyond = any(moment(i) for i in range(len(numerators) - 1, max(top, -1), -1))
+            continue
+        if i:
+            s = sum([a * math.comb(d, i - 1) for d, a in terms if d >= i])
+        else:
+            s = sum([a * (spans // (d + 1)) for d, a in terms])
+        if s:
+            beyond = True
+            break
     weight_scale, weights = _bernoulli_weights(top)
     scale = math.lcm(spans, weight_scale)
-    q = [moment(0) * (scale // spans)] if top >= 0 else []
+    q = [sum([a * (scale // (d + 1)) for d, a in terms])] if top >= 0 else []
     lift = scale // weight_scale
-    q += [w * moment(i) * lift for i, w in enumerate(weights, 1)]
-    return (*_lowest_terms(scale * common, q), beyond)
+    for i, w in enumerate(weights, 1):
+        q.append(w * lift * sum([a * math.comb(d, i - 1) for d, a in terms if d >= i]) if w else 0)
+    return scale * common, q, beyond
 
 
 def _width_polynomial(f: Polynomial) -> Polynomial:
-    """Q_f in full, as a ``Polynomial`` keeping its integer form."""
+    """Q_f in full, as a ``Polynomial`` keeping its integer form in lowest terms."""
     common, numerators, _ = _width_numerators(f, f.degree)
-    return _from_numerators(common, numerators)
+    return _from_numerators(*_lowest_terms(common, numerators))
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:

@@ -5,13 +5,16 @@ interval sums are differences of point values, with infinite endpoints
 evaluating symbolically.  G is certified at construction, never by
 summing the range: every ``ClosedFormSum`` checks that G telescopes to g
 over integers, by one exact zero test at a power of two past the roots
-the residual could have, in O(deg G) shifts and adds.  G itself is the
-power-sum fold sum_d c_d*S_d over the cached ``faulhaber`` rows, added as
-integer numerators over one lcm; it is the library's only fold over those
-rows.  Each row keeps its numerators, so it pays its lcm once per process,
-and G keeps the numerators it was built from, so the certificate and G at
-an endpoint take no lcm of G's again.  ``sum_ftc`` builds no series it
-does not return: a finite lower endpoint makes G(a - 1) a rational.
+the residual could have, in O(deg G) shifts and adds plus one shift per
+nonzero term of g.  G itself is the power-sum fold sum_d c_d*S_d over the
+cached ``faulhaber`` rows, added as integer numerators over one lcm,
+skipping the rows' zero numerators; it is the library's only fold over
+those rows.  Each row keeps its numerators, so it pays its lcm once per
+process, and G is kept as the numerators it was built from, so the
+certificate and G at an endpoint take no lcm of G's again, and G's
+``Fraction`` coefficients are built only if something reads them.
+``sum_ftc`` builds no series it does not return: a finite lower endpoint
+makes G(a - 1) a rational, and at a = 1 it is the certified G(0) = 0.
 ``prefix_sums_match``, G against running totals at deg g + 2 points, is
 the CLI's independent oracle.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .core import DEFAULT_TRUNCATION_FLOOR, Gossamer, _common_numerators, _lowest_terms
+from .core import DEFAULT_TRUNCATION_FLOOR, Gossamer, _lowest_terms, _nonzero_numerators
 from .polynomial import Polynomial, _at_rational, _from_numerators, _integer_form
 from .riemann import faulhaber
 from .steps import StepFunction
@@ -49,34 +52,34 @@ class ClosedFormSum:
 
     Construction checks G(0) = 0 and G(n) - G(n-1) = g(n) in integers, by
     one exact zero test.  With G = N/L (G's integer form) and g = T/s
-    (g's numerators over their lcm, taken afresh: g is the caller's), G
-    telescopes to g exactly when P(n) = s*(N(n) - N(n-1)) - L*T(n) is the
-    zero polynomial.  Each |P_j| is at most B = s*2^(D+1)*sum|N_i| +
-    L*sum|T_j|, D = deg G, so by Cauchy's bound a nonzero P, an integer
-    polynomial, has no root of modulus 1 + B or more.  X = 2^k with
-    k = B.bit_length() + 1 lies past that, so P(X) = 0 forces P = 0.
-    N(X), N(X-1) and T(X) are Horner passes of shifts and adds.
+    (g's nonzero numerators over their lcm, taken afresh: g is the
+    caller's), G telescopes to g exactly when
+    P(n) = s*(N(n) - N(n-1)) - L*T(n) is the zero polynomial.  Each |P_j|
+    is at most B = s*2^(D+1)*sum|N_i| + L*sum|T_j|, D = deg G, so by
+    Cauchy's bound a nonzero P, an integer polynomial, has no root of
+    modulus 1 + B or more.  X = 2^k with k = B.bit_length() + 1 lies past
+    that, so P(X) = 0 forces P = 0.  N(X) and N(X-1) are Horner passes of
+    shifts and adds; T(X) is the sum of t_j*2^(j*k) over g's nonzero
+    terms.  Both checks read G's integer form, not its ``Fraction``s.
     """
 
     term: Polynomial
     point_function: Polynomial
 
     def __post_init__(self):
-        point = self.point_function.coefficients
-        if point and point[0]:
-            raise ValueError("point function must vanish at 0")
         common, numerators = _integer_form(self.point_function)
-        scale, term = _common_numerators(self.term.coefficients)
+        if numerators and numerators[0]:
+            raise ValueError("point function must vanish at 0")
+        scale, term = _nonzero_numerators(self.term.coefficients)
         bound = (scale * sum(map(abs, numerators)) << len(numerators)) + common * sum(
-            map(abs, term)
+            [abs(t) for _, t in term]
         )
         k = bound.bit_length() + 1
-        at_x = at_x_less_one = at_term = 0
+        at_x = at_x_less_one = 0
         for n in reversed(numerators):
             at_x = (at_x << k) + n
             at_x_less_one = (at_x_less_one << k) - at_x_less_one + n
-        for t in reversed(term):
-            at_term = (at_term << k) + t
+        at_term = sum([t << (j * k) for j, t in term])
         if scale * (at_x - at_x_less_one) != common * at_term:
             raise ValueError("point function does not telescope to the term")
 
@@ -87,11 +90,11 @@ def indefinite_sum(g: Polynomial) -> ClosedFormSum:
     S_d is the cached ``faulhaber(d)`` row, read once per nonzero c_d in
     ascending d, with its integer numerators N_d over their lcm D_d, which
     the row keeps.  The fold runs over integers: with c_d = a_d/b_d,
-    a_d*(L/(b_d*D_d))*N_d goes into the slots, L the lcm of every b_d*D_d.
-    One gcd g of L and the slots puts them in lowest terms, L/g and s_i/g,
-    from which G's ``Fraction`` coefficients are built once and which G
-    keeps, so the ``ClosedFormSum`` certificate and G at an endpoint take
-    no lcm again.
+    a_d*(L/(b_d*D_d))*N_d goes into the slots, L the lcm of every b_d*D_d,
+    for each nonzero numerator of the row.  One gcd g of L and the slots
+    puts them in lowest terms, L/g and s_i/g, which G keeps as its integer
+    form (``_from_numerators``), so the ``ClosedFormSum`` certificate and G
+    at an endpoint take no lcm again and build no ``Fraction`` of G's.
     """
     rows = [(c, *_integer_form(faulhaber(degree)))
             for degree, c in enumerate(g.coefficients) if c]
@@ -100,7 +103,8 @@ def indefinite_sum(g: Polynomial) -> ClosedFormSum:
     for c, d, numerators in rows:
         scale = c.numerator * (common // (c.denominator * d))
         for slot, n in enumerate(numerators):
-            slots[slot] += scale * n
+            if n:
+                slots[slot] += scale * n
     return ClosedFormSum(g, _from_numerators(*_lowest_terms(common, slots)))
 
 
@@ -202,7 +206,7 @@ def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     Infinite endpoints give the exact symbolic value: at w + k, G's
     coefficients relabelled.  At a finite a = r, G(r-1) is a rational, one
     Horner pass over G's integer numerators, and none at r = 1, where it
-    is G's constant term 0; the value is G(b) less that rational, with the
+    is the certified G(0) = 0; the value is G(b) less that rational, with the
     floor and flag the series G(a - 1) would carry.  An infinite a takes
     G(a - 1) as a series.  The sum over a+1..b is G(b) - G(a), i.e.
     ``sum_at_point(s, b) - sum_at_point(s, a)``.  No oracle runs here;
@@ -220,7 +224,8 @@ def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     floor = a.truncation_floor
     below = 0 if floor > 0 else (a.terms[0][1] if a.terms else 0) - 1
     point_function = s.point_function
-    lower = _at_rational(point_function, below)
+    # G(0) = 0 is certified, so G is read only at a nonzero point.
+    lower = _at_rational(point_function, below) if below else 0
     truncated = (a.truncated or floor > 0) and point_function.degree > 0
     return SumFtcResult(_less_rational(upper, lower, floor, truncated), s)
 

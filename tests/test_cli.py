@@ -145,6 +145,7 @@ class TestSmooth:
         assert data["budget_total"] == "w^-2"
         assert data["delta_infinitesimal"] is True
         assert data["round_trip_identity"] is True
+        assert data["truncated"] is False
 
     def test_emit_csv(self, heavyside_file, tmp_path, capsys):
         csv_path = tmp_path / "curve.csv"
@@ -318,7 +319,7 @@ class TestEnvFloor:
 
 # sha256 of the stdout of each command.  Payloads are exact, so a refactor
 # must leave every byte in place; a change that means to move one updates
-# the digest and says why.  The ftc and pipeline payloads gained a
+# the digest and says why.  The ftc, pipeline and smooth payloads gained a
 # "truncated" field: their JSON_DIGESTS entry is the digest of the payload
 # without it, so no older byte can move, and WITH_TRUNCATED pins the whole.
 STAIRCASE = '{"breakpoints": ["-1", "1/2", "3"], "levels": ["0", "2", "-1/3", "5"]}'
@@ -377,6 +378,9 @@ WITH_TRUNCATED = {
     JSON_DIGESTS[12][0]: "b6ffe1fc66e3f594c3a0e1f2e9241d0d9e8163255e90a15e917a32b103c22bc5",
     JSON_DIGESTS[13][0]: "581dcd6162eb57624fba5c02d8609f7d490443dd23e02b25b11e8438e42ac9aa",
     JSON_DIGESTS[14][0]: "5b3f280539ce25563630afb44fc6d8ccb8900c6cbfc427c639fb795837981afb",
+    JSON_DIGESTS[15][0]: "c56bd431428000b646163c540d5078efe88cbb350d9b3b01be8251ff90247a0d",
+    JSON_DIGESTS[16][0]: "0a60abe66f8cb43bb1051723db7ef861918599c6bbe3132315422a531846a6db",
+    JSON_DIGESTS[17][0]: "22ba2790799b2e0bf783012475a59f954509a4f307561258eb1c725f2d8e11be",
     JSON_DIGESTS[20][0]: "2c74721149effa438d1f305aa290ad6aa8c9de375ead2c78f4c8f7ffada96314",
 }
 
@@ -394,7 +398,7 @@ def test_json_payload_matches_recorded_digest(argv, digest, tmp_path, capsys):
         command = (argv[0], argv[1], str(path), *argv[3:])
     assert main(list(command)) == 0
     out = capsys.readouterr().out
-    if argv[0] in ("ftc", "pipeline"):
+    if argv[0] in ("ftc", "pipeline", "smooth"):
         assert sha256(out) == WITH_TRUNCATED[argv]
         payload = json.loads(out)
         del payload["truncated"]

@@ -132,6 +132,12 @@ class TestCompare:
     def test_dunders_match(self):
         assert H > 0 and omega(-2) < H and W >= W
 
+    def test_error_names_the_operand_type(self):
+        with pytest.raises(TypeError, match="^cannot compare Gossamer with float$"):
+            W < 1.5
+        with pytest.raises(TypeError, match="^cannot compare Gossamer with str$"):
+            W.compare("x")
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -160,6 +166,13 @@ class TestMagnitudeRelations:
             H.much_less(Gossamer())
         with pytest.raises(ZeroMagnitudeError):
             Gossamer().leading_coefficient
+
+    @pytest.mark.parametrize("relation", ["much_less", "asymptotic_to"])
+    @pytest.mark.parametrize("operand", [1.5, "x", None])
+    def test_non_numeric_operand_is_a_type_error(self, relation, operand):
+        # Not ZeroMagnitudeError (a ValueError): the operand is not zero but no number.
+        with pytest.raises(TypeError, match=type(operand).__name__):
+            getattr(W, relation)(operand)
 
     def test_asymptotic_examples(self):
         assert g("w + 1").asymptotic_to(g("w - 5"))

@@ -17,7 +17,14 @@ from gossamer import (
     scale_integral_identity,
     shift_integral_identity,
 )
-from gossamer.polynomial import _at_reciprocal, _horner, _integer_form, _reciprocal_form
+from gossamer.core import _common_numerators, _lowest_terms
+from gossamer.polynomial import (
+    _at_reciprocal,
+    _from_numerators,
+    _horner,
+    _integer_form,
+    _reciprocal_form,
+)
 from strategies import polynomials, rationals, same_value
 
 H = omega(-1)
@@ -255,6 +262,49 @@ class TestInit:
     def test_other_inputs_convert(self, raw, expected):
         (c,) = Polynomial([raw]).coefficients
         assert type(c) is Fraction and c == expected
+
+
+# Arguments that read a polynomial's integer form alone (rationals, c*w^e + k
+# off c = 1, k = 0), that read its Fractions (w^e, floats, other series), and
+# the finite series.
+LAZY_ARGUMENTS = (
+    Fraction(0), Fraction(-3, 2), 5, 0.75, Gossamer(), Gossamer.from_rational(Fraction(2, 3)),
+    omega(), omega(2), omega(Fraction(1, 2)), 3 * omega(), omega() + 1, omega() + omega(-1),
+)
+
+
+@given(polynomials, st.sampled_from(LAZY_ARGUMENTS))
+def test_lazy_polynomial_matches_the_eager_one(p, argument):
+    # A polynomial built from its integer form alone reads as the one built
+    # from its Fractions, before and after ``coefficients`` builds them.
+    form = _lowest_terms(*_common_numerators(p.coefficients))
+
+    def lazy():
+        built = _from_numerators(form[0], list(form[1]))
+        assert built._coefficients is None
+        return built
+
+    def read():
+        built = lazy()
+        assert built.coefficients == p.coefficients
+        return built
+
+    for make in (lazy, read):
+        assert make().degree == p.degree and make().is_zero == p.is_zero
+        assert make() == p and hash(make()) == hash(p)
+        value, expected = make().evaluate(argument), p.evaluate(argument)
+        if isinstance(expected, Gossamer):
+            assert same_value(value, expected)
+        else:
+            assert value == expected and type(value) is type(expected)
+    assert all(type(c) is Fraction for c in read().coefficients)
+
+
+def test_lazy_polynomial_builds_its_fractions_once():
+    p = _from_numerators(6, [0, 3, 0, -5])
+    assert p._coefficients is None
+    assert p.degree == 3
+    assert p.coefficients is p.coefficients == (0, Fraction(1, 2), 0, Fraction(-5, 6))
 
 
 class TestDerivative:

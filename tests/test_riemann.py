@@ -28,14 +28,16 @@ from gossamer import (
 )
 from gossamer.core import _common_numerators
 from gossamer.polynomial import _horner, _integer_form
-from gossamer.riemann import _inverse, _scaled_integral, _width_polynomial
+from gossamer.riemann import _inverse, _scaled_integral, _width_numerators, _width_polynomial
 from strategies import (
     euler_maclaurin_polynomial,
     point_polynomial,
     polynomials,
+    reference_width_numerators,
     same_value,
     small_rationals,
     sparse_or_dense,
+    wide_polynomials,
     width_polynomial,
 )
 
@@ -220,6 +222,32 @@ def test_power_sum_fold_matches_both_oracles(f):
     for p in (q_f, point):
         common, numerators = _common_numerators(p.coefficients)
         assert _integer_form(p) == (common, tuple(numerators))
+
+
+@st.composite
+def polynomials_and_reaches(draw):
+    f = draw(wide_polynomials)
+    return f, draw(st.integers(-2, f.degree + 2))
+
+
+@given(polynomials_and_reaches())
+@example((Polynomial(), 2))
+@example((Polynomial(), -2))
+@example((Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x"), -1))  # Q_f = 0: nothing beyond, even q_0
+@example((Polynomial.parse("x - 1/2"), -1))  # q_0 = 0 but q_1 is not
+@example((Polynomial.monomial(17), 16))  # q_17 = 0 above the reach
+@example((Polynomial.monomial(18), 16))
+def test_width_numerators_match_the_reference(case):
+    # The one-pass read of f's nonzero terms against the moment closure over
+    # every slot: the same q_i as fractions (the numerators are not reduced)
+    # and the same bit for the q_i above the reach.
+    f, reach = case
+    common, numerators, beyond = _width_numerators(f, reach)
+    expected_common, expected, expected_beyond = reference_width_numerators(f, reach)
+    assert [Fraction(n, common) for n in numerators] == [
+        Fraction(n, expected_common) for n in expected
+    ]
+    assert beyond is expected_beyond
 
 
 @given(sparse_or_dense)

@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import gossamer.core
@@ -171,6 +171,35 @@ class TestCertificateBound:
             assert not certified(term, Polynomial()), m
 
 
+class TestCertificateSparseTerm:
+    """Near misses whose residual sits only where g has no term.
+
+    The check reads g by its nonzero terms; a near miss at degree d leaves
+    the residual delta*n^d*(n - 2^j), at the slots d and d + 1.
+    """
+
+    TERM = Polynomial.parse("3/2*k^20 - 1/3*k^7 + 5/7")
+
+    @pytest.mark.parametrize("degree", [1, 8, 18, 21])
+    def test_rejects_near_misses_at_zero_slots(self, degree):
+        term = self.TERM
+        assert not any(term.coefficients[degree : degree + 2])
+        point = indefinite_sum(term).point_function
+        for delta in (Fraction(1), Fraction(-3, 5)):
+            first = near_miss(point, degree, delta, 0)
+            last = max(certificate_exponent(point, term), certificate_exponent(first, term))
+            for j in range(last + 5):
+                assert not certified(term, near_miss(point, degree, delta, j)), j
+
+    @given(st.integers(1, 21), nonzero_deltas)
+    def test_rejects_a_perturbation_of_a_slot_where_the_term_is_zero(self, slot, delta):
+        # Slot i of G feeds slots below i of G(n) - G(n-1), i - 1 among them.
+        assume(not self.TERM.coefficients[slot - 1])
+        coefficients = list(indefinite_sum(self.TERM).point_function.coefficients)
+        coefficients[slot] += delta
+        assert not certified(self.TERM, Polynomial(coefficients))
+
+
 class TestSumAtPoint:
     def test_hundred(self):
         # Oracle: brute-force loop over 1..100.
@@ -234,6 +263,15 @@ class TestSumFtc:
         # sum_{k=1}^{w+1} k at w = n is the finite sum up to n + 1.
         value = sum_ftc(K, 1, omega() + 1).value
         assert value.at_omega(n) == sum_interval_bruteforce(K, 1, n + 1)
+
+    @pytest.mark.parametrize("b", [3 * omega(), omega() + 1], ids=["3w", "w+1"])
+    def test_value_builds_no_coefficient_of_the_point_function(self, b):
+        # G(b) at c*w^e + k off c = 1, k = 0, and G(0) = 0 certified, read
+        # G's integer form alone: its Fractions stay unbuilt.
+        g = Polynomial.parse("3/2*k^5 - k^2 + 1/7")
+        result = sum_ftc(g, 1, b)
+        assert result.closed_form.point_function._coefficients is None
+        assert same_value(result.value, point_value_difference(g, 1, b))
 
     def test_half_open_convention(self):
         # G(b) - G(a) is the sum over a+1..b.
