@@ -519,16 +519,6 @@ def _common_numerators(coefficients: Sequence[Fraction]) -> Tuple[int, list]:
     return d, [c.numerator * (d // b) for c, b in zip(coefficients, denominators)]
 
 
-def _nonzero_numerators(coefficients: Sequence[Fraction]) -> Tuple[int, list]:
-    """``(d, [(i, n), ...])`` for each nonzero coefficient i, equal to ``n / d``, d their lcm.
-
-    A sparse polynomial's coefficients read by their nonzero terms alone.
-    """
-    terms = [(i, c.numerator, c.denominator) for i, c in enumerate(coefficients) if c]
-    d = math.lcm(*[b for _, _, b in terms])
-    return d, [(i, n * (d // b)) for i, n, b in terms]
-
-
 def _lowest_terms(d: int, numerators: Sequence[int]) -> Tuple[int, list]:
     """The fractions n/d in ``_common_numerators``'s form: ``(d/g, [n/g, ...])``, g = gcd(d, *n).
 

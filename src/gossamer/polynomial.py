@@ -18,7 +18,14 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .core import Gossamer, Kind, RationalLike, _common_numerators, _require_infinitesimal
+from .core import (
+    Gossamer,
+    Kind,
+    RationalLike,
+    _common_numerators,
+    _lowest_terms,
+    _require_infinitesimal,
+)
 from .parsing import ParseError, read_terms, write_terms
 
 __all__ = [
@@ -268,13 +275,14 @@ def _integer_form(p: Polynomial) -> tuple:
 def _from_numerators(common: int, numerators: list) -> Polynomial:
     """The polynomial with coefficients n_i/common, stored as that integer form alone.
 
-    ``common`` and ``numerators`` must be in lowest terms (``_lowest_terms``),
-    so the form is the one ``_integer_form`` would take.  Trailing zero
-    numerators are stripped.  No ``Fraction`` is built here: ``coefficients``
-    builds them on its first read, and a reader of the form alone (the
-    degree, the ``ClosedFormSum`` certificate, a value at an integer or at
-    c*w^e + k with c != 1 or k != 0) never does.
+    The form is put in lowest terms here (``_lowest_terms``), so it is the
+    one ``_integer_form`` would take, and trailing zero numerators are
+    stripped.  No ``Fraction`` is built here: ``coefficients`` builds them
+    on its first read, and a reader of the form alone (the degree, the
+    ``ClosedFormSum`` certificate, a value at a rational point or at
+    c*w^e + k) never does.
     """
+    common, numerators = _lowest_terms(common, numerators)
     while numerators and not numerators[-1]:
         numerators.pop()
     value = object.__new__(Polynomial)
@@ -318,7 +326,7 @@ def _relabel(p: Polynomial, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
     Horner's rule over the same x keeps exactly the terms at or above x's
     floor, drops the rest with the flag, and is truncated when x is and p
     is not a constant; so is this.  The terms come from p's integer form,
-    read as it is at k = 0; p's ``Fraction``s are read only at c = 1, k = 0.
+    read as it is at k = 0, and only the nonzero ones build a ``Fraction``.
     """
     floor = x.truncation_floor
     common, numerators = _integer_form(p)
@@ -334,22 +342,14 @@ def _relabel(p: Polynomial, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
     else:
         lo, hi = max(0, -(-n // d)), top
     dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
-    # At x = w^e (c = 1, k = 0) term j's coefficient is p's own j-th.
-    own = p.coefficients if c == 1 and not k else None
-    terms = _terms(shifted, lo, hi, e, c.numerator, c.denominator, common, own)
+    terms = _terms(shifted, lo, hi, e, c.numerator, c.denominator, common)
     if e > 0:
         terms.reverse()
     return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
 
 
-def _terms(
-    numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int, own=None
-) -> list:
-    """``(j*e, r_j*(cn/cd)^j/common)`` for each nonzero r_j, j = lo..hi, in that order.
-
-    ``own``, when given, holds those coefficients already as ``Fraction``s
-    (p's own, at cn/cd = 1 and no shift), which are then taken as they are.
-    """
+def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int) -> list:
+    """``(j*e, r_j*(cn/cd)^j/common)`` for each nonzero r_j, j = lo..hi, in that order."""
     en, ed = e.numerator, e.denominator
     power_n, power_d = cn**lo, common * cd**lo
     terms = []
@@ -358,7 +358,7 @@ def _terms(
         if r:
             n = j * en
             exponent = n // ed if not n % ed else Fraction(n, ed)
-            terms.append((exponent, own[j] if own else Fraction(r * power_n, power_d)))
+            terms.append((exponent, Fraction(r * power_n, power_d)))
         power_n *= cn
         power_d *= cd
     return terms

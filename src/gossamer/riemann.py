@@ -28,11 +28,16 @@ from .core import (
     Kind,
     RationalLike,
     ZeroMagnitudeError,
-    _lowest_terms,
-    _nonzero_numerators,
     omega,
 )
-from .polynomial import Polynomial, _at_reciprocal, _from_numerators, _horner, _reciprocal_form
+from .polynomial import (
+    Polynomial,
+    _at_reciprocal,
+    _from_numerators,
+    _horner,
+    _integer_form,
+    _reciprocal_form,
+)
 
 __all__ = [
     "ConjectureProbe",
@@ -127,20 +132,21 @@ def _width_numerators(f: Polynomial, reach: int) -> tuple:
     q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)) = B_i*s_i/(i*M), where
     s_i = sum_{d >= i} a_d*C(d, i-1) over f's numerators a_d and their lcm
     M; q_0 = s_0/(S*M), s_0 = sum_d a_d*S/(d + 1), S the lcm of the d + 1.
-    f is read once, by its nonzero coefficients, so a sparse f costs its
-    terms, not its degree.  The weights B_i/i, i = 1..r, r = min(reach,
-    deg f), come as integers over their lcm R from a row cached per r
-    (``_bernoulli_weights``); q_0..q_r go over one common denominator L,
-    and the s_i of a zero weight (odd i >= 3, where B_i = 0) are not
-    summed.  L is common to the q_i but not their lcm: the numerators are
+    f is read through its integer form (``_integer_form``), skipping its
+    zero numerators: f keeps that form once taken, so a sparse f pays its
+    degree in its first read and its terms alone after.  The weights
+    B_i/i, i = 1..r, r = min(reach, deg f), come as integers over their lcm
+    R from a row cached per r (``_bernoulli_weights``); q_0..q_r go over
+    one common denominator L, and the s_i of a zero weight (odd i >= 3,
+    where B_i = 0) are not summed.  L is common to the q_i but not their lcm: the numerators are
     not reduced, as the ``Fraction``s built from them reduce each term.
     Above r, ``beyond`` says whether any q_i is nonzero: s_i is summed
     from the top down to the first nonzero one, skipping the zero
-    weights, and down to s_0 when r < 0.  f belongs to the caller: its
-    numerators are taken here on every call and not stored on it; the
-    weight row is keyed by r alone.
+    weights, and down to s_0 when r < 0.  The weight row is keyed by r
+    alone.
     """
-    common, terms = _nonzero_numerators(f.coefficients)
+    common, numerators = _integer_form(f)
+    terms = [(d, a) for d, a in enumerate(numerators) if a]
     spans = math.lcm(*[d + 1 for d, _ in terms])
     degree = terms[-1][0] if terms else -1
     top = min(reach, degree)
@@ -167,7 +173,7 @@ def _width_numerators(f: Polynomial, reach: int) -> tuple:
 def _width_polynomial(f: Polynomial) -> Polynomial:
     """Q_f in full, as a ``Polynomial`` keeping its integer form in lowest terms."""
     common, numerators, _ = _width_numerators(f, f.degree)
-    return _from_numerators(*_lowest_terms(common, numerators))
+    return _from_numerators(common, numerators)
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gossamer.polynomial
 import gossamer.riemann
 import gossamer.sums
 from gossamer import (
@@ -248,6 +249,22 @@ def test_width_numerators_match_the_reference(case):
         Fraction(n, expected_common) for n in expected
     ]
     assert beyond is expected_beyond
+
+
+def test_a_callers_integrand_takes_its_lcm_once(monkeypatch):
+    # f keeps the integer form its first Riemann sum takes, so a second one,
+    # at another count and reach, takes no lcm of f's again.
+    calls = []
+
+    def counting(coefficients):
+        calls.append(coefficients)
+        return _common_numerators(coefficients)
+
+    monkeypatch.setattr(gossamer.polynomial, "_common_numerators", counting)
+    f = Polynomial.parse("3/7*x^40 - 1/2*x^2 + 1/3")
+    for nu in (omega(), omega(2)):
+        uniform_riemann_sum(f, nu)
+    assert [c for c in calls if c is f.coefficients] == [f.coefficients]
 
 
 @given(sparse_or_dense)

@@ -264,10 +264,12 @@ class TestSumFtc:
         value = sum_ftc(K, 1, omega() + 1).value
         assert value.at_omega(n) == sum_interval_bruteforce(K, 1, n + 1)
 
-    @pytest.mark.parametrize("b", [3 * omega(), omega() + 1], ids=["3w", "w+1"])
+    @pytest.mark.parametrize(
+        "b", [omega(), omega(2), 3 * omega(), omega() + 1], ids=["w", "w^2", "3w", "w+1"]
+    )
     def test_value_builds_no_coefficient_of_the_point_function(self, b):
-        # G(b) at c*w^e + k off c = 1, k = 0, and G(0) = 0 certified, read
-        # G's integer form alone: its Fractions stay unbuilt.
+        # G(b) at c*w^e + k, and G(0) = 0 certified, read G's integer form
+        # alone: its Fractions stay unbuilt.
         g = Polynomial.parse("3/2*k^5 - k^2 + 1/7")
         result = sum_ftc(g, 1, b)
         assert result.closed_form.point_function._coefficients is None
@@ -326,6 +328,12 @@ endpoints = st.one_of(
 )
 
 
+# (text, truncated) of pinned sum_ftc values, at the lower endpoint's floor.
+CUBIC = ("1/3*w^3 + 1/2*w^2 + 1/6*w", True)
+FIVE_W = ("5*w", True)
+ZERO = ("0", False)
+
+
 class TestSumFtcMatchesPointValues:
     @given(small_polys, endpoints, endpoints)
     def test_value_is_the_point_value_difference(self, g, a, b):
@@ -343,19 +351,31 @@ class TestSumFtcMatchesPointValues:
         assert same_value(sum_ftc(g, a, b).value, point_value_difference(g, a, b))
 
     @pytest.mark.parametrize(
-        "a",
+        "a, expected",
         [
-            Gossamer(floor=Fraction(1, 2)),
-            Gossamer(floor=2, truncated=True),
-            Gossamer(((0, 3),), floor=Fraction(1, 2)),
+            (Gossamer(floor=Fraction(1, 2)), [CUBIC, CUBIC, FIVE_W, FIVE_W, ZERO, ZERO]),
+            (
+                Gossamer(floor=2, truncated=True),
+                [("1/3*w^3 + 1/2*w^2", True), ("0", True), ("0", True), ("0", True), ZERO, ZERO],
+            ),
+            (Gossamer(((0, 3),), floor=Fraction(1, 2)), [CUBIC, CUBIC, FIVE_W, FIVE_W, ZERO, ZERO]),
         ],
         ids=["zero", "truncated-zero", "dropped-three"],
     )
-    def test_lower_endpoint_at_a_positive_floor(self, a):
-        # a - 1 drops the 1 below a positive floor; a + w keeps a's floor object.
+    def test_lower_endpoint_at_a_positive_floor(self, a, expected):
+        # a - 1 drops the 1 below a positive floor; a + w keeps a's floor
+        # object.  point_value_difference is sum_ftc's own formula, so each
+        # value's terms, floor and flag are pinned as well, in the order
+        # g = k^2, 5, 0, each at b = w and then b = a + w.
+        values = []
         for g in (K2, Polynomial.constant(5), Polynomial()):
             for b in (omega(), a + omega()):
-                assert same_value(sum_ftc(g, a, b).value, point_value_difference(g, a, b))
+                value = sum_ftc(g, a, b).value
+                assert same_value(value, point_value_difference(g, a, b))
+                values.append(value)
+        for value, (text, truncated) in zip(values, expected, strict=True):
+            pinned = Gossamer(Gossamer.parse(text).terms, a.truncation_floor, truncated)
+            assert same_value(value, pinned)
 
 
 class TestPrefixSumsMatch:
@@ -396,6 +416,22 @@ class TestPrefixSumsMatch:
         point = Polynomial(point_polynomial(g).coefficients)  # a fresh copy, no form yet
         assert prefix_sums_match(g, point)
         assert len(calls) <= 2
+
+    def test_a_callers_term_takes_its_lcm_once(self, monkeypatch):
+        # The certificate reads g's integer form, which g then keeps, so the
+        # oracle's deg g + 2 evaluations of g take no lcm again.
+        calls = []
+
+        def counting(coefficients):
+            calls.append(coefficients)
+            return _common_numerators(coefficients)
+
+        monkeypatch.setattr(gossamer.polynomial, "_common_numerators", counting)
+        g = Polynomial.parse("3/7*k^40 - 1/2*k^2 + 1/3")
+        point = indefinite_sum(g).point_function
+        assert g._form is not None
+        assert prefix_sums_match(g, point)
+        assert [c for c in calls if c is g.coefficients] == [g.coefficients]
 
 
 class TestBridge:
