@@ -5,110 +5,85 @@ rational coefficients; on top of it sit exact polynomial calculus,
 closed-form Riemann sums at infinite partition counts, discrete
 summation as a difference of point values, and continuous
 representations of step functions with infinitesimal bridges.
+Public names resolve on first use: ``import gossamer`` loads no
+submodule, and the first read of a name imports the module that defines it.
 """
-from .core import (
-    DEFAULT_TRUNCATION_FLOOR,
-    Gossamer,
-    InfinitePartError,
-    Kind,
-    NotInfinitesimalError,
-    ParseError,
-    ZeroMagnitudeError,
-    bounded_series_sum,
-    omega,
-)
-from .polynomial import (
-    Polynomial,
-    ftc_inverse_check,
-    order_swap_demo,
-    scale_integral_identity,
-    shift_integral_identity,
-)
-from .report import CaseResult, SUITE_NAMES, VerificationReport, run_suite
-from .riemann import (
-    UniformRiemannSum,
-    bernoulli_number,
-    conjecture_probe,
-    definite_to_sum_pipeline,
-    divergent_integral_via_sum,
-    faulhaber,
-    integrability_check,
-    panel_asymptotic,
-    riemann_limit,
-    riemann_remainder,
-    uniform_riemann_sum,
-)
-from .steps import (
-    BridgeShape,
-    SmoothedFunction,
-    StepFunction,
-    area_delta,
-    iverson_step,
-    sample_curve,
-    smooth,
-    smoothed_area,
-    step_sum,
-    transfer_to_real,
-    trapezoid_discontinuity_budget,
-)
-from .sums import (
-    ClosedFormSum,
-    indefinite_sum,
-    lower_sum_at_point,
-    prefix_sums_match,
-    sum_at_point,
-    sum_ftc,
-    sum_interval_bruteforce,
-    sum_to_integral_bridge,
-)
+from importlib import import_module
 
-__all__ = [
-    "BridgeShape",
-    "CaseResult",
-    "ClosedFormSum",
-    "DEFAULT_TRUNCATION_FLOOR",
-    "Gossamer",
-    "InfinitePartError",
-    "Kind",
-    "NotInfinitesimalError",
-    "ParseError",
-    "Polynomial",
-    "SUITE_NAMES",
-    "SmoothedFunction",
-    "StepFunction",
-    "UniformRiemannSum",
-    "VerificationReport",
-    "ZeroMagnitudeError",
-    "area_delta",
-    "bernoulli_number",
-    "bounded_series_sum",
-    "conjecture_probe",
-    "definite_to_sum_pipeline",
-    "divergent_integral_via_sum",
-    "faulhaber",
-    "ftc_inverse_check",
-    "indefinite_sum",
-    "integrability_check",
-    "iverson_step",
-    "lower_sum_at_point",
-    "omega",
-    "order_swap_demo",
-    "panel_asymptotic",
-    "prefix_sums_match",
-    "riemann_limit",
-    "riemann_remainder",
-    "run_suite",
-    "sample_curve",
-    "scale_integral_identity",
-    "shift_integral_identity",
-    "smooth",
-    "smoothed_area",
-    "step_sum",
-    "sum_at_point",
-    "sum_ftc",
-    "sum_interval_bruteforce",
-    "sum_to_integral_bridge",
-    "transfer_to_real",
-    "trapezoid_discontinuity_budget",
-    "uniform_riemann_sum",
-]
+# Each public name, by the submodule it is read from.
+_EXPORTS = {
+    "core": (
+        "DEFAULT_TRUNCATION_FLOOR",
+        "Gossamer",
+        "InfinitePartError",
+        "Kind",
+        "NotInfinitesimalError",
+        "ParseError",
+        "ZeroMagnitudeError",
+        "bounded_series_sum",
+        "omega",
+    ),
+    "polynomial": (
+        "Polynomial",
+        "ftc_inverse_check",
+        "order_swap_demo",
+        "scale_integral_identity",
+        "shift_integral_identity",
+    ),
+    "report": ("CaseResult", "SUITE_NAMES", "VerificationReport", "run_suite"),
+    "riemann": (
+        "UniformRiemannSum",
+        "bernoulli_number",
+        "conjecture_probe",
+        "definite_to_sum_pipeline",
+        "divergent_integral_via_sum",
+        "faulhaber",
+        "integrability_check",
+        "panel_asymptotic",
+        "riemann_limit",
+        "riemann_remainder",
+        "uniform_riemann_sum",
+    ),
+    "steps": (
+        "BridgeShape",
+        "SmoothedFunction",
+        "StepFunction",
+        "area_delta",
+        "iverson_step",
+        "sample_curve",
+        "smooth",
+        "smoothed_area",
+        "step_sum",
+        "transfer_to_real",
+        "trapezoid_discontinuity_budget",
+    ),
+    "sums": (
+        "ClosedFormSum",
+        "indefinite_sum",
+        "lower_sum_at_point",
+        "prefix_sums_match",
+        "sum_at_point",
+        "sum_ftc",
+        "sum_interval_bruteforce",
+        "sum_to_integral_bridge",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name or a submodule, imported on first read and kept in the package."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS or name == "parsing":  # what ``import gossamer`` once loaded
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -8,29 +8,20 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import Gossamer, ParseError, omega
 from .polynomial import Polynomial, ftc_inverse_check
-from .report import SUITE_NAMES, run_suite
 from .riemann import (
     definite_to_sum_pipeline,
     panel_asymptotic,
     riemann_remainder,
     uniform_riemann_sum,
 )
-from .steps import (
-    LOGISTIC_SHAPE,
-    BridgeShape,
-    StepFunction,
-    area_delta,
-    sample_curve,
-    smooth,
-    smoothed_area,
-    transfer_to_real,
-    trapezoid_discontinuity_budget,
-)
 from .sums import prefix_sums_match, sum_ftc
+
+if TYPE_CHECKING:
+    from .steps import StepFunction
 
 USAGE_EXIT = 2
 
@@ -41,13 +32,19 @@ MAX_SAMPLES = 100_000
 # and `--suite all` at this bound runs for minutes.
 MAX_CASES = 10_000
 
+# The parser's choices, spelled out so that building it imports neither
+# ``report`` nor ``steps``: only ``verify`` runs the first and only
+# ``smooth`` the second.  They are ``report.SUITE_NAMES``, each alias's
+# ``steps.BridgeShape`` value and ``steps.LOGISTIC_SHAPE``.
+_SUITE_NAMES = ("gossamer-axioms", "riemann", "ftc", "sum-ftc", "smoothing")
 _SHAPE_ALIASES = {
-    "linear": BridgeShape.LINEAR,
-    "cubic": BridgeShape.CUBIC_SMOOTHSTEP,
-    "cubic_smoothstep": BridgeShape.CUBIC_SMOOTHSTEP,
-    "quintic": BridgeShape.QUINTIC_SMOOTHSTEP,
-    "quintic_smoothstep": BridgeShape.QUINTIC_SMOOTHSTEP,
+    "linear": "linear",
+    "cubic": "cubic_smoothstep",
+    "cubic_smoothstep": "cubic_smoothstep",
+    "quintic": "quintic_smoothstep",
+    "quintic_smoothstep": "quintic_smoothstep",
 }
+_LOGISTIC_SHAPE = "logistic"
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -77,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
+    verify.add_argument("--suite", default="all", choices=_SUITE_NAMES + ("all",))
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--cases", type=int, default=100, help=f"cases per suite, 1 to {MAX_CASES}")
     verify.add_argument("--json", action="store_true")
@@ -104,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     smooth_cmd = sub.add_parser("smooth", help="continuous representation of a step function")
     smooth_cmd.add_argument("--input", required=True, help="step function JSON file")
     smooth_cmd.add_argument(
-        "--shape", default="linear", choices=sorted(_SHAPE_ALIASES) + [LOGISTIC_SHAPE]
+        "--shape", default="linear", choices=sorted(_SHAPE_ALIASES) + [_LOGISTIC_SHAPE]
     )
     smooth_cmd.add_argument("--eps-exp", type=_fraction_arg, default=Fraction(-1))
     smooth_cmd.add_argument("--from", dest="start", type=_fraction_arg, default=None)
@@ -139,6 +136,8 @@ def _emit(payload: dict, as_json: bool, lines: Sequence[str]) -> None:
 def _cmd_verify(args) -> int:
     if args.cases > MAX_CASES:
         raise ValueError(f"--cases must be at most {MAX_CASES}")
+    from .report import run_suite
+
     report = run_suite(args.suite, seed=args.seed, cases=args.cases)
     if args.json:
         print(report.to_json(include_timing=args.timing))
@@ -250,6 +249,19 @@ def _default_standin(step: StepFunction) -> float:
 
 
 def _cmd_smooth(args) -> int:
+    from .steps import (
+        BridgeShape,
+        StepFunction,
+        area_delta,
+        sample_curve,
+        smooth,
+        smoothed_area,
+        transfer_to_real,
+        trapezoid_discontinuity_budget,
+    )
+
+    logistic = args.shape == _LOGISTIC_SHAPE
+    shape = args.shape if logistic else BridgeShape(_SHAPE_ALIASES[args.shape])
     with open(args.input, "r", encoding="utf-8") as fh:
         step = StepFunction.from_json(fh.read())
     if args.eps_exp >= 0:
@@ -266,7 +278,7 @@ def _cmd_smooth(args) -> int:
             raise ValueError(f"--samples must be between 2 and {MAX_SAMPLES}")
         width = args.standin_width or _default_standin(step)
         xs = [float(lo) + (float(hi) - float(lo)) * i / (args.samples - 1) for i in range(args.samples)]
-        ys = sample_curve(step, args.shape if args.shape == LOGISTIC_SHAPE else _SHAPE_ALIASES[args.shape], width, xs)
+        ys = sample_curve(step, shape, width, xs)
         with open(args.emit_csv, "w", encoding="utf-8") as fh:
             fh.write(
                 f"# smoothed step function; shape={args.shape}; eps=w^{args.eps_exp} "
@@ -276,21 +288,21 @@ def _cmd_smooth(args) -> int:
             for x, y in zip(xs, ys):
                 fh.write(f"{x!r},{y!r}\n")
 
-    if args.shape == LOGISTIC_SHAPE:
+    if logistic:
         if not args.emit_csv:
             raise ValueError("the logistic shape is sampling-only; pass --emit-csv")
         print(f"wrote {args.emit_csv} (logistic shape: no exact-area claims)")
         return 0
 
     eps = omega(args.eps_exp)
-    smoothed = smooth(step, _SHAPE_ALIASES[args.shape], eps)
+    smoothed = smooth(step, shape, eps)
     delta = area_delta(step, smoothed, lo, hi)
     budget = trapezoid_discontinuity_budget(step, eps)
     round_trip = transfer_to_real(smoothed) == step
     area = smoothed_area(smoothed, lo, hi)
     payload = {
         "input": step.to_json_dict(),
-        "shape": _SHAPE_ALIASES[args.shape].value,
+        "shape": shape.value,
         "eps": str(eps),
         "interval": [str(lo), str(hi)],
         "area": str(step.area(lo, hi)),

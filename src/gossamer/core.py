@@ -120,7 +120,21 @@ class Gossamer:
 
     @classmethod
     def from_rational(cls, value: RationalLike, floor: Optional[RationalLike] = None) -> "Gossamer":
-        return cls(((0, value),), floor=floor)
+        """The constant ``value`` at ``floor``, built as the constructor would build it.
+
+        Zero is the empty series; above a positive floor the constant drops
+        and the value says so; otherwise it is the one term ``(0, value)``.
+        """
+        if floor is None:
+            floor = DEFAULT_TRUNCATION_FLOOR
+        elif type(floor) is not Fraction:
+            floor = Fraction(floor)
+        value = value if type(value) is Fraction else Fraction(value)
+        if not value:
+            return cls._make((), floor, False)
+        if floor > 0:
+            return cls._make((), floor, True)
+        return cls._make(((0, value),), floor, False)
 
     @classmethod
     def parse(cls, text: str, floor: Optional[RationalLike] = None) -> "Gossamer":
@@ -172,12 +186,7 @@ class Gossamer:
         if isinstance(other, Gossamer):
             return other
         if isinstance(other, (int, Fraction)):
-            floor = self.truncation_floor
-            if not other:
-                return Gossamer._make((), floor, False)
-            if floor > 0:
-                return Gossamer._make((), floor, True)
-            return Gossamer._make(((0, Fraction(other)),), floor, False)
+            return Gossamer.from_rational(other, self.truncation_floor)
         return None
 
     # -- arithmetic --------------------------------------------------

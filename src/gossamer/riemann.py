@@ -18,7 +18,7 @@ between its endpoints, F' = f.  A finite count n reads the full Q_f at 1/n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
@@ -97,16 +97,19 @@ def faulhaber(p: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class UniformRiemannSum:
+class UniformRiemannSum(namedtuple("UniformRiemannSum", "integrand partition_count value")):
     """A right-endpoint sum of f over a uniform partition of [0, 1] into nu panels."""
 
-    integrand: Polynomial
-    partition_count: Gossamer
-    value: Gossamer
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_infinite(self.partition_count)
+    def __new__(cls, integrand: Polynomial, partition_count: Gossamer, value: Gossamer):
+        _require_infinite(partition_count)
+        return super().__new__(cls, integrand, partition_count, value)
+
+    @classmethod
+    def _make(cls, iterable):
+        """A record from a sequence, through ``__new__``, so ``_replace`` checks too."""
+        return cls(*iterable)
 
 
 def _require_infinite(nu: Gossamer) -> None:

@@ -21,14 +21,16 @@ the CLI's independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .core import Gossamer
 from .polynomial import Polynomial, _from_numerators, _integer_form
 from .riemann import faulhaber
-from .steps import StepFunction
+
+if TYPE_CHECKING:
+    from .steps import StepFunction
 
 __all__ = [
     "ClosedFormSum",
@@ -46,8 +48,7 @@ __all__ = [
 Endpoint = Union[int, Fraction, Gossamer]
 
 
-@dataclass(frozen=True)
-class ClosedFormSum:
+class ClosedFormSum(namedtuple("ClosedFormSum", "term point_function")):
     """A term g(k) together with its point function G(n) = sum_{k=1}^{n} g(k).
 
     Construction checks G(0) = 0 and G(n) - G(n-1) = g(n) in integers, by
@@ -63,25 +64,30 @@ class ClosedFormSum:
     terms.  Both checks read integer forms alone: G's ``Fraction``s stay unbuilt.
     """
 
-    term: Polynomial
-    point_function: Polynomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        common, numerators = _integer_form(self.point_function)
+    def __new__(cls, term: Polynomial, point_function: Polynomial):
+        common, numerators = _integer_form(point_function)
         if numerators and numerators[0]:
             raise ValueError("point function must vanish at 0")
-        scale, term = _integer_form(self.term)
+        scale, term_numerators = _integer_form(term)
         bound = (scale * sum(map(abs, numerators)) << len(numerators)) + common * sum(
-            map(abs, term)
+            map(abs, term_numerators)
         )
         k = bound.bit_length() + 1
         at_x = at_x_less_one = 0
         for n in reversed(numerators):
             at_x = (at_x << k) + n
             at_x_less_one = (at_x_less_one << k) - at_x_less_one + n
-        at_term = sum([t << (j * k) for j, t in enumerate(term) if t])
+        at_term = sum([t << (j * k) for j, t in enumerate(term_numerators) if t])
         if scale * (at_x - at_x_less_one) != common * at_term:
             raise ValueError("point function does not telescope to the term")
+        return super().__new__(cls, term, point_function)
+
+    @classmethod
+    def _make(cls, iterable):
+        """A record from a sequence, through ``__new__``, so ``_replace`` checks too."""
+        return cls(*iterable)
 
 
 def indefinite_sum(g: Polynomial) -> ClosedFormSum:
@@ -194,6 +200,8 @@ def sum_to_integral_bridge(g: Polynomial, a: int, b: int) -> SumBridge:
     module; here the step's exact area is checked against the closed
     form ``sum_ftc(g, a, b)``.
     """
+    from .steps import StepFunction
+
     if a > b:
         raise ValueError(f"empty range: {a} > {b}")
     heights = [g.evaluate(Fraction(k)) for k in range(a, b + 1)]

@@ -5,9 +5,11 @@ import json
 import pytest
 
 import gossamer.cli
+import gossamer.report
 from gossamer.cli import MAX_CASES, MAX_SAMPLES, main
 from gossamer.polynomial import MAX_PARSE_DEGREE
-from gossamer.report import run_suite
+from gossamer.report import SUITE_NAMES, run_suite
+from gossamer.steps import LOGISTIC_SHAPE, BridgeShape
 
 HEAVYSIDE = '{"breakpoints": ["0"], "levels": ["0", "1"]}'
 
@@ -245,7 +247,7 @@ class TestVerify:
     @pytest.mark.parametrize("cases", [str(MAX_CASES + 1), "100000000"])
     def test_case_count_above_the_bound_is_usage(self, cases, capsys, monkeypatch):
         # Rejected before any case runs: 10^8 riemann cases would run for days.
-        monkeypatch.setattr(gossamer.cli, "run_suite", None)
+        monkeypatch.setattr(gossamer.report, "run_suite", None)
         assert main(["verify", "--suite", "riemann", "--cases", cases]) == 2
         assert f"--cases must be at most {MAX_CASES}" in option_error(capsys)
 
@@ -256,7 +258,7 @@ class TestVerify:
             asked.append(cases)
             return run_suite(suite, seed, 1)
 
-        monkeypatch.setattr(gossamer.cli, "run_suite", one_case)
+        monkeypatch.setattr(gossamer.report, "run_suite", one_case)
         assert main(["verify", "--suite", "riemann", "--cases", str(MAX_CASES)]) == 0
         assert asked == [MAX_CASES]
 
@@ -269,6 +271,43 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestParserChoices:
+    """The parser spells out its choices, so building it loads neither report nor steps."""
+
+    def test_suite_choices_are_the_report_suites(self):
+        assert gossamer.cli._SUITE_NAMES == SUITE_NAMES
+
+    def test_shape_aliases_cover_every_bridge_shape(self):
+        aliases = gossamer.cli._SHAPE_ALIASES
+        assert {BridgeShape(value) for value in aliases.values()} == set(BridgeShape)
+        assert all(aliases[shape.value] == shape.value for shape in BridgeShape)
+
+    def test_logistic_name_is_the_steps_name(self):
+        assert gossamer.cli._LOGISTIC_SHAPE == LOGISTIC_SHAPE
+
+
+# sha256 of each --help text at 80 columns, recorded when the parser still
+# read its choices from report and steps; the same on Python 3.10-3.12.
+HELP_DIGESTS = {
+    "gossamer": "dbd3c810c1750b1b5f9eeb74213ffae92b6ec6bf69065b03eb4afa13da1b430c",
+    "verify": "0254a121110f8c66bdea4944272e7189e1769754cc9d79bcc991a1e13b8d1a7a",
+    "riemann": "633c5e50b64ec34cf402dfeceffb51f14b42d9e521e38abfc3eb1c4104d1f5b3",
+    "ftc": "0a0052b8bcd23b199e1c11cd57cf591188f41ef06fc723446348e7e1bb1887b3",
+    "sum": "cea4f0e6e1c93650b6d346a0b83976ceb01bfc167617a8e25e98d1944240d896",
+    "smooth": "315a6da882b244a1ad4de7c80cec951a7b56d755ad327f0162a17c41ca6284a3",
+    "pipeline": "60dbfd29a1bc06a9dae94054140b8c964e51cffdc8b79398669ec1a25effb64e",
+}
+
+
+@pytest.mark.parametrize("command, digest", HELP_DIGESTS.items())
+def test_help_matches_recorded_digest(command, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"] if command == "gossamer" else [command, "--help"])
+    assert excinfo.value.code == 0
+    assert sha256(capsys.readouterr().out) == digest
 
 
 class TestNegativeRationalValues:

@@ -518,6 +518,18 @@ def test_kernel_matches_general_constructor(a, b, scalar, level):
     check_kernel(b, a, scalar, level)
 
 
+@given(
+    st.one_of(st.integers(-3, 3), kernel_coefficients),
+    st.one_of(kernel_floors, st.integers(-3, 3)),
+)
+def test_constant_matches_general_constructor(value, floor):
+    # from_rational, which coerces every int and Fraction operand, builds
+    # its one term without the constructor: zero, a positive floor, a term.
+    made = Gossamer.from_rational(value, floor)
+    assert shape(made) == shape(Gossamer(((0, value),), floor=floor))
+    assert type(made.truncation_floor) is Fraction
+
+
 # Few terms over few exponents and floors, so that two values often share a
 # prefix, then differ at one exponent or below the higher floor.
 compare_coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=3)

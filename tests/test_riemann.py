@@ -12,6 +12,7 @@ import gossamer.sums
 from gossamer import (
     Gossamer,
     Polynomial,
+    UniformRiemannSum,
     ZeroMagnitudeError,
     bernoulli_number,
     conjecture_probe,
@@ -146,6 +147,25 @@ class TestUniformSum:
     def test_finite_count_rejected(self):
         with pytest.raises(ValueError):
             uniform_riemann_sum(X2, Gossamer.from_rational(10))
+
+    def test_record_rejects_a_finite_count(self):
+        value = uniform_riemann_sum(X2).value
+        finite = Gossamer.from_rational(10)
+        with pytest.raises(ValueError, match="partition count must be infinite"):
+            UniformRiemannSum(X2, finite, value)
+        with pytest.raises(ValueError, match="partition count must be infinite"):
+            uniform_riemann_sum(X2)._replace(partition_count=finite)
+
+    def test_record_is_an_immutable_tuple(self):
+        s = uniform_riemann_sum(X2)
+        assert repr(s) == (
+            "UniformRiemannSum(integrand=Polynomial('x^2'), partition_count=Gossamer('w'), "
+            "value=Gossamer('1/3 + 1/2*w^-1 + 1/6*w^-2'))"
+        )
+        assert s == UniformRiemannSum(integrand=X2, partition_count=omega(), value=s.value)
+        assert hash(s) == hash((X2, omega(), s.value))
+        with pytest.raises(AttributeError):
+            s.value = Gossamer()
 
     @given(polynomials, st.integers(min_value=1, max_value=12))
     def test_closed_form_matches_finite_sums(self, f, n):

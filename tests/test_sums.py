@@ -61,6 +61,18 @@ class TestIndefiniteSum:
         with pytest.raises(ValueError):
             ClosedFormSum(K, point + Polynomial.monomial(2, Fraction(1, 691)))  # top perturbed
 
+    def test_record_is_an_immutable_tuple(self):
+        s = indefinite_sum(K)
+        assert repr(s) == (
+            "ClosedFormSum(term=Polynomial('x'), point_function=Polynomial('1/2*x^2 + 1/2*x'))"
+        )
+        assert s == ClosedFormSum(term=K, point_function=s.point_function)
+        assert hash(s) == hash((K, s.point_function))
+        with pytest.raises(AttributeError):
+            s.term = K2
+        with pytest.raises(ValueError, match="does not telescope"):
+            s._replace(point_function=2 * s.point_function)
+
     @given(small_polys)
     def test_faulhaber_consistency(self, g):
         # Coefficient-for-coefficient agreement with the power-sum forms.
