@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .core import Gossamer, ParseError, omega
+from .core import DEFAULT_TRUNCATION_FLOOR, Gossamer, ParseError, omega
 from .polynomial import Polynomial, ftc_inverse_check
 from .riemann import (
     definite_to_sum_pipeline,
@@ -188,10 +188,20 @@ def _cmd_riemann(args) -> int:
     return 0 if st == integral else 1
 
 
+def _check_infinitesimal_exponent(option: str, exponent: Fraction, what: str) -> None:
+    """w^exponent must be a nonzero infinitesimal: below 0, and not below the floor."""
+    if exponent >= 0:
+        raise ValueError(f"{option} must be negative so {what} is infinitesimal")
+    if exponent < DEFAULT_TRUNCATION_FLOOR:
+        raise ValueError(
+            f"{option} must be at least {DEFAULT_TRUNCATION_FLOOR}, the truncation floor, "
+            f"or {what} truncates to 0"
+        )
+
+
 def _cmd_ftc(args) -> int:
     f = Polynomial.parse(args.poly)
-    if args.h_exp >= 0:
-        raise ValueError("--h-exp must be negative so the step is infinitesimal")
+    _check_infinitesimal_exponent("--h-exp", args.h_exp, "the step")
     h = omega(args.h_exp)
     check = ftc_inverse_check(f, args.a, args.x, h)
     payload = {
@@ -264,8 +274,7 @@ def _cmd_smooth(args) -> int:
     shape = args.shape if logistic else BridgeShape(_SHAPE_ALIASES[args.shape])
     with open(args.input, "r", encoding="utf-8") as fh:
         step = StepFunction.from_json(fh.read())
-    if args.eps_exp >= 0:
-        raise ValueError("--eps-exp must be negative so the half-width is infinitesimal")
+    _check_infinitesimal_exponent("--eps-exp", args.eps_exp, "the half-width")
     if step.breakpoints:
         lo = min(step.breakpoints) - 1 if args.start is None else args.start
         hi = max(step.breakpoints) + 1 if args.end is None else args.end

@@ -13,7 +13,8 @@ one bit for whether any higher one is nonzero, and Q_f(1/nu) is read off
 their numerators, by Horner's rule in the series of 1/nu when k != 0,
 with no series inverse and no ``Fraction`` coefficient: the output terms
 are the only ``Fraction``s built, and they reduce the numerators.  An integral of f(x/nu) is nu*F(x/nu)
-between its endpoints, F' = f.  A finite count n reads the full Q_f at 1/n.
+between its endpoints, F' = f, and whether one panel's is asymptotic to
+its sample is a test on two rationals.  A finite count n reads the full Q_f at 1/n.
 """
 from __future__ import annotations
 
@@ -120,8 +121,8 @@ def _require_infinite(nu: Gossamer) -> None:
 def _inverse(nu: Gossamer) -> Gossamer:
     """1/nu at nu's floor deepened by nu's leading exponent E.
 
-    Callers lift it back up by up to E (times a panel index near nu, or nu
-    itself); the deeper floor keeps the terms that then reach nu's floor.
+    Pipeline stages 2 and 3 lift it back up by E, times nu; the deeper
+    floor keeps the terms that then reach nu's floor.
     """
     deep = nu.truncation_floor - nu.leading_exponent
     return Gossamer(nu.terms, floor=deep, truncated=nu.truncated).inverse()
@@ -231,22 +232,6 @@ def riemann_remainder(s: UniformRiemannSum) -> RiemannRemainder:
     return RiemannRemainder(c, valid)
 
 
-def _scaled_integral(f: Polynomial, inv_nu: Gossamer, lo: Gossamer, hi: Gossamer) -> Gossamer:
-    """integral_lo^hi f(x/nu) dx = G(hi) - G(lo), G(x) = x*M(x/nu) = nu*F(x/nu).
-
-    M(y) = F(y)/y = sum_d c_d/(d+1) y^d, F the antiderivative of f, is one
-    Horner evaluation.  The endpoints sit at inv_nu's deep floor, as G lifts
-    x/nu by up to nu's leading exponent; callers realize at nu's floor.
-    """
-    mean = Polynomial(f.antiderivative().coefficients[1:])
-
-    def primitive(x: Gossamer) -> Gossamer:
-        x = Gossamer(x.terms, floor=inv_nu.truncation_floor, truncated=x.truncated)
-        return x * mean.evaluate(x * inv_nu)
-
-    return primitive(hi) - primitive(lo)
-
-
 def integrability_check(f: Polynomial, nu: Optional[Gossamer] = None) -> bool:
     """Whether the scaled integral and the unscaled sum share their leading term.
 
@@ -259,20 +244,29 @@ def integrability_check(f: Polynomial, nu: Optional[Gossamer] = None) -> bool:
 def panel_asymptotic(f: Polynomial, nu: Gossamer, j: Union[RationalLike, Gossamer]) -> bool:
     """Single-panel comparison: integral of f(x/nu) over [j, j+1] against f(j/nu).
 
-    The integral is nu*F(x/nu) at j+1 minus at j, F the antiderivative.
-    It holds for infinite j but can fail for finite j, where the panel
-    integral and the sample have equal order yet different leading
-    coefficients; report-only, never asserted globally.  A rational j is
-    taken as its constant series.
+    For j = a*nu + b (a = 0 at a rational j) and t = 1/nu, the sample
+    f(a + b*t) and the integral nu*(F(a + (b+1)*t) - F(a + b*t)), F' = f,
+    are polynomials in t that lead at t^m, m the order of f's zero at a, as
+    tau*b^m and tau*((b+1)^(m+1) - b^(m+1))/(m+1), tau = f^(m)(a)/m!.  So
+    they are asymptotic, at every infinite nu and any floor, exactly when f
+    is zero or those rationals agree: at infinite j, not always at finite j.
+    Report-only.  A j whose j - a*nu is not a finite rational is a ValueError.
     """
     _require_infinite(nu)
-    j = j if isinstance(j, Gossamer) else Gossamer.from_rational(Fraction(j))
-    inv_nu = _inverse(nu)
-    integral = _scaled_integral(f, inv_nu, j, j + 1).realize(nu.truncation_floor)
-    sample = f.evaluate(j * inv_nu)
-    if not integral or not sample:
-        return integral == sample
-    return integral.asymptotic_to(sample)
+    if not isinstance(j, Gossamer):
+        a, b = Fraction(0), Fraction(j)
+    else:
+        a = j.coefficient(nu.leading_exponent) / nu.leading_coefficient
+        rest, scaled = dict(j.terms), {e: a * c for e, c in nu.terms} if a else {}
+        b = Fraction(rest.pop(0, 0) - scaled.pop(0, 0))
+        if j.truncated or rest != scaled:
+            raise ValueError(f"panel index must be a*nu + b with a and b rational, got {j}")
+    if f.is_zero:
+        return True
+    order, derivative = 0, f
+    while not derivative.evaluate(a):
+        order, derivative = order + 1, derivative.derivative()
+    return b**order == ((b + 1) ** (order + 1) - b ** (order + 1)) / (order + 1)
 
 
 class PipelineStage(NamedTuple):
@@ -300,7 +294,11 @@ def definite_to_sum_pipeline(f: Polynomial, nu: Optional[Gossamer] = None) -> Pi
     _require_infinite(nu)
     inv_nu = _inverse(nu)
     plain = Gossamer.from_rational(f.integrate(0, 1), floor=nu.truncation_floor)
-    scaled = (_scaled_integral(f, inv_nu, Gossamer(), nu) * inv_nu).realize(nu.truncation_floor)
+    # Stage 3 is G(nu)/nu, G(x) = x*M(x/nu) = nu*F(x/nu), M(y) = F(y)/y; nu sits
+    # at inv_nu's deep floor, as G lifts x/nu by up to nu's leading exponent.
+    mean = Polynomial(f.antiderivative().coefficients[1:])
+    deep_nu = Gossamer(nu.terms, floor=inv_nu.truncation_floor, truncated=nu.truncated)
+    scaled = (deep_nu * mean.evaluate(deep_nu * inv_nu) * inv_nu).realize(nu.truncation_floor)
     total = uniform_riemann_sum(f, nu).value
     stages = (
         PipelineStage(1, "integral_0^1 f(x) dx", plain),
@@ -309,12 +307,10 @@ def definite_to_sum_pipeline(f: Polynomial, nu: Optional[Gossamer] = None) -> Pi
         PipelineStage(4, "sum_{j=1}^{nu} f(j/nu) (1/nu)", total),
     )
     remainder = total - scaled
-    if not remainder:
-        negligible = True
-    elif not scaled:
+    if not scaled and (remainder or remainder.truncated):
         negligible = None
     else:
-        negligible = remainder.much_less(scaled)
+        negligible = not remainder or remainder.much_less(scaled)
     return PipelineTrace(stages, remainder, negligible)
 
 

@@ -88,18 +88,36 @@ class StepFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StepFunction":
+        """The step function of ``{"breakpoints": [...], "levels": [...]}``.
+
+        Entries are rationals as strings, or integers.  A float or a boolean
+        is a ValueError naming the entry: it stands for no exact rational.
+        """
         if not isinstance(data, dict) or set(data) != {"breakpoints", "levels"}:
             raise ValueError("expected an object with 'breakpoints' and 'levels'")
-        try:
-            breakpoints = tuple(Fraction(q) for q in data["breakpoints"])
-            levels = tuple(Fraction(y) for y in data["levels"])
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ValueError(f"expected rationals as strings: {exc}") from exc
-        return cls(breakpoints, levels)
+        return cls(_rationals(data, "breakpoints"), _rationals(data, "levels"))
 
     @classmethod
     def from_json(cls, text: str) -> "StepFunction":
         return cls.from_json_dict(json.loads(text))
+
+
+def _rationals(data: dict, key: str) -> tuple:
+    """The ``Fraction``s of the JSON list ``data[key]``, whose entries are strings or integers."""
+    if not isinstance(data[key], list):
+        raise ValueError(f"expected {key!r} as a list")
+    values = []
+    for i, q in enumerate(data[key]):
+        if isinstance(q, bool) or not isinstance(q, (str, int)):
+            raise ValueError(
+                f"{key}[{i}]: expected a rational as a string or an integer, "
+                f"got {json.dumps(q, default=repr)}"
+            )
+        try:
+            values.append(Fraction(q))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{key}[{i}]: expected a rational as a string: {exc}") from exc
+    return tuple(values)
 
 
 def iverson_step(q: RationalLike) -> StepFunction:

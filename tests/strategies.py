@@ -146,3 +146,25 @@ def point_value_difference(g, a, b):
     a, b = (x if isinstance(x, Gossamer) else Gossamer.from_rational(x) for x in (a, b))
     s = indefinite_sum(g)
     return sum_at_point(s, b) - sum_at_point(s, a - 1)
+
+
+def panel_polynomials(f, a, b):
+    """``(R, S)``: panel j = a*nu + b's integral and sample as polynomials in t = 1/nu, in ``Fraction``s.
+
+    R(t) = (F(a + (b+1)*t) - F(a + b*t))/t, F the antiderivative of f, is
+    nu times F(x/nu)'s rise over [j, j+1]; S(t) = f(a + b*t) is f(j/nu).
+    """
+    primitive = f.antiderivative()
+    rise = primitive.compose(Polynomial((a, b + 1))) - primitive.compose(Polynomial((a, b)))
+    assert not rise.coefficients or rise.coefficients[0] == 0
+    return Polynomial(rise.coefficients[1:]), f.compose(Polynomial((a, b)))
+
+
+def panel_reference(f, a, b):
+    """Whether R and S of ``panel_polynomials`` share their lowest nonzero term, or are both zero."""
+
+    def lowest(p):
+        return next(((i, c) for i, c in enumerate(p.coefficients) if c), None)
+
+    integral, sample = panel_polynomials(f, a, b)
+    return lowest(integral) == lowest(sample)

@@ -92,6 +92,12 @@ class TestFtc:
         assert main(["ftc", "--poly", "x^2", "--x", "2", "--h-exp", "1"]) == 2
         assert option_error(capsys).startswith("error: --h-exp must be negative")
 
+    def test_h_below_the_floor_is_usage(self, capsys):
+        # w^-17 truncates to 0 at the floor of -16; w^-16 is kept.
+        assert main(["ftc", "--poly", "x^2", "--x", "2", "--h-exp", "-17"]) == 2
+        assert option_error(capsys).startswith("error: --h-exp must be at least -16, the truncation")
+        assert main(["ftc", "--poly", "x^2", "--x", "2", "--h-exp", "-16"]) == 0
+
 
 class TestSum:
     def test_demo_example(self, capsys):
@@ -197,6 +203,22 @@ class TestSmooth:
         assert main(["smooth", "--input", heavyside_file, "--eps-exp", "1"]) == 2
         assert option_error(capsys).startswith("error: --eps-exp must be negative")
 
+    def test_eps_below_the_floor_is_usage(self, heavyside_file, capsys):
+        assert main(["smooth", "--input", heavyside_file, "--eps-exp", "-17"]) == 2
+        assert option_error(capsys).startswith("error: --eps-exp must be at least -16, the truncation")
+        assert main(["smooth", "--input", heavyside_file, "--eps-exp", "-16"]) == 0
+
+    @pytest.mark.parametrize(
+        "text, entry",
+        [('{"breakpoints": [0.1], "levels": ["0", "1"]}', "breakpoints[0]"),
+         ('{"breakpoints": ["1/2"], "levels": [0, true]}', "levels[1]")],
+    )
+    def test_inexact_json_entry_is_usage(self, text, entry, tmp_path, capsys):
+        path = tmp_path / "step.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["smooth", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {entry}: expected a rational")
+
 
 class TestPipeline:
     def test_structured_trace(self, capsys):
@@ -218,6 +240,14 @@ class TestPipeline:
     def test_non_infinite_count_is_usage(self, nu_exp, capsys):
         assert main(["pipeline", "--poly", "x^2", "--nu-exp", nu_exp]) == 2
         assert option_error(capsys).startswith("error: --nu-exp must be positive")
+
+    def test_truncated_zero_remainder_prints_null(self, capsys):
+        # The remainder 1/2*w^-17 prints as "0" below the floor, yet it is
+        # not zero, so it has no verdict against the zero integral.
+        assert main(["pipeline", "--poly", "x - 1/2", "--nu-exp", "17"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["remainder"] == "0" and data["truncated"] is True
+        assert data["remainder_negligible"] is None
 
     def test_zero_integral_prints_null_and_exits_0(self, capsys):
         # No verdict is no failure: the remainder is printed, the exit is 0.

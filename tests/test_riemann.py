@@ -30,9 +30,11 @@ from gossamer import (
 )
 from gossamer.core import _common_numerators
 from gossamer.polynomial import _horner, _integer_form
-from gossamer.riemann import _inverse, _scaled_integral, _width_numerators, _width_polynomial
+from gossamer.riemann import _width_numerators, _width_polynomial
 from strategies import (
     euler_maclaurin_polynomial,
+    panel_polynomials,
+    panel_reference,
     point_polynomial,
     polynomials,
     reference_width_numerators,
@@ -471,26 +473,75 @@ class TestIntegrability:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_panel_integral_at_finite_stand_in(self, k):
-        # Independent oracle: at nu = w^k with deg f * k <= 16 every term of
-        # the panel integral lies above the floor, so the series evaluated
-        # at w = W must equal the exact integral of f(x/N) over [J, J+1],
-        # N = W^k, summed monomial by monomial in plain fractions.
+        # Independent oracle for the reference's R and S: at a finite
+        # stand-in N = W^k for nu and J = a*N + b, R(1/N) must equal the
+        # exact integral of f(x/N) over [J, J+1], summed monomial by monomial
+        # in plain fractions, and S(1/N) the sample f(J/N).
         rng = random.Random(k)
-        nu = omega(k)
         for _ in range(60):
             degree = rng.randint(0, 16 // k)
             f = Polynomial(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree + 1))
-            for j in (Gossamer.from_rational(1), Gossamer.from_rational(5), nu * Fraction(1, 2), nu - 1):
-                integral = _scaled_integral(f, _inverse(nu), j, j + 1).realize(nu.truncation_floor)
-                assert not integral.truncated
+            for a, b in ((0, 1), (0, 5), (Fraction(1, 2), 0), (1, -1)):  # j = 1, 5, nu/2, nu - 1
+                integral, sample = panel_polynomials(f, Fraction(a), Fraction(b))
                 for w in (10, 64):
-                    n, big_j = Fraction(w) ** k, j.at_omega(w)
+                    n = Fraction(w) ** k
+                    big_j = a * n + b
                     expected = sum(
                         (c / (d + 1) * ((big_j + 1) ** (d + 1) - big_j ** (d + 1)) / n ** d
                          for d, c in enumerate(f.coefficients)),
                         Fraction(0),
                     )
-                    assert integral.at_omega(w) == expected
+                    assert integral.evaluate(1 / n) == expected
+                    assert sample.evaluate(1 / n) == f.evaluate(big_j / n)
+
+    @pytest.mark.parametrize(
+        "f, at_one",
+        [(Polynomial.parse("x^6"), False), (X2, False),
+         (Polynomial.parse("x^40 - 3*x^17 + 1/2*x^5 + 2"), True)],
+        ids=["x^6", "x^2", "sparse"],
+    )
+    def test_panel_condition_does_not_depend_on_the_floor(self, f, at_one):
+        # At nu = w^3 and up both sides of x^6's j = 1 panel fall below
+        # w^-16; the verdict is the rule's, not that of two empty series.
+        verdicts = {
+            (panel_asymptotic(f, nu, 1), panel_asymptotic(f, nu, nu * Fraction(1, 2)),
+             panel_asymptotic(f, nu, nu - 1))
+            for nu in (omega(e) for e in range(1, 21))
+        }
+        assert verdicts == {(at_one, True, True)}
+
+    def test_panel_index_off_the_form_is_rejected(self):
+        nu = omega()
+        with pytest.raises(ValueError, match="a\\*nu \\+ b"):
+            panel_asymptotic(X2, nu, omega(2))
+        with pytest.raises(ValueError, match="a\\*nu \\+ b"):
+            panel_asymptotic(X2, nu, nu * Fraction(1, 2) + omega(-1))
+
+
+@st.composite
+def panels(draw):
+    """``(f, a, b, nu)``, f often with a zero of some order at a, nu at floors -40 to 0."""
+    a = draw(st.one_of(st.sampled_from([0, 1, Fraction(1, 2), 2]), small_rationals))
+    b = draw(st.one_of(st.sampled_from([0, 1, -1, Fraction(-1, 2), 5]), small_rationals))
+    f = draw(polynomials) * Polynomial((-a, 1)) ** draw(st.integers(0, 4))
+    count = draw(st.sampled_from(list(COUNTS.values())))
+    nu = Gossamer(count.terms, floor=draw(st.integers(-40, 0)))
+    return f, Fraction(a), Fraction(b), nu
+
+
+@given(panels())
+@example((Polynomial.parse("x^6"), Fraction(0), Fraction(1), omega(3)))  # both sides below w^-16
+@example((Polynomial(), Fraction(0), Fraction(1), omega()))
+# The panel [nu/2 - 1/2, nu/2 + 1/2] straddles the zero of x - 1/2: a zero integral.
+@example((Polynomial.parse("x - 1/2"), Fraction(1, 2), Fraction(-1, 2), omega()))
+def test_panel_condition_matches_the_reference(case):
+    # The verdict at j = a*nu + b against R and S composed in fractions:
+    # they must share their lowest nonzero term, whatever nu and its floor.
+    f, a, b, nu = case
+    expected = panel_reference(f, a, b)
+    assert panel_asymptotic(f, nu, nu * a + b) is expected
+    if not a:
+        assert panel_asymptotic(f, nu, b) is expected
 
 
 class TestPipeline:
@@ -521,6 +572,14 @@ class TestPipeline:
         trace = definite_to_sum_pipeline(Polynomial.parse("x - 1/2"), nu)
         assert trace.stages[2].value == 0
         assert trace.remainder == Fraction(1, 2) * nu.inverse()
+        assert trace.remainder_negligible is None
+
+    def test_zero_integral_has_no_verdict_when_the_remainder_truncates(self):
+        # At w^17 the remainder 1/2*w^-17 drops below the floor: its series is
+        # empty but flagged, so it is still nonzero against the zero integral.
+        trace = definite_to_sum_pipeline(Polynomial.parse("x - 1/2"), omega(17))
+        assert not trace.remainder and trace.remainder.truncated
+        assert trace.stages[2].value == 0
         assert trace.remainder_negligible is None
 
     def test_zero_polynomial_is_negligible(self):

@@ -1,4 +1,5 @@
 """Step functions, infinitesimal bridges, and exact area accounting."""
+import re
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -244,6 +245,27 @@ class TestJson:
             StepFunction.from_json('{"breakpoints": ["1/2"]}')
         with pytest.raises(ValueError):
             StepFunction.from_json('{"breakpoints": ["zz"], "levels": ["0", "1"]}')
+
+    def test_integers_are_exact(self):
+        step = StepFunction.from_json('{"breakpoints": ["1/2", 3], "levels": [0, "1", -2]}')
+        assert step == StepFunction((Fraction(1, 2), Fraction(3)), (0, 1, -2))
+
+    @pytest.mark.parametrize(
+        "text, entry",
+        [('{"breakpoints": [0.1], "levels": ["0", "1"]}', "breakpoints[0]"),
+         ('{"breakpoints": ["1/2"], "levels": [0, true]}', "levels[1]"),
+         ('{"breakpoints": [], "levels": [1.0]}', "levels[0]"),
+         ('{"breakpoints": [false], "levels": ["0", "1"]}', "breakpoints[0]")],
+    )
+    def test_floats_and_booleans_rejected(self, text, entry):
+        # JSON 0.1 is no exact rational, and true is no number at all.
+        with pytest.raises(ValueError, match=rf"^{re.escape(entry)}: expected a rational as a string or an integer"):
+            StepFunction.from_json(text)
+
+    def test_entries_must_be_a_list(self):
+        # A string would otherwise be read character by character.
+        with pytest.raises(ValueError, match="'breakpoints' as a list"):
+            StepFunction.from_json('{"breakpoints": "12", "levels": ["0", "1", "2"]}')
 
 
 class TestSampling:
