@@ -60,12 +60,10 @@ _EXPORTS = {
     "sums": (
         "ClosedFormSum",
         "indefinite_sum",
-        "lower_sum_at_point",
         "prefix_sums_match",
         "sum_at_point",
         "sum_ftc",
         "sum_interval_bruteforce",
-        "sum_to_integral_bridge",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -34,8 +34,8 @@ MAX_CASES = 10_000
 
 # The parser's choices, spelled out so that building it imports neither
 # ``report`` nor ``steps``: only ``verify`` runs the first and only
-# ``smooth`` the second.  They are ``report.SUITE_NAMES``, each alias's
-# ``steps.BridgeShape`` value and ``steps.LOGISTIC_SHAPE``.
+# ``smooth`` the second.  They are ``report.SUITE_NAMES`` and each alias's
+# ``steps.BridgeShape`` value.
 _SUITE_NAMES = ("gossamer-axioms", "riemann", "ftc", "sum-ftc", "smoothing")
 _SHAPE_ALIASES = {
     "linear": "linear",
@@ -44,7 +44,6 @@ _SHAPE_ALIASES = {
     "quintic": "quintic_smoothstep",
     "quintic_smoothstep": "quintic_smoothstep",
 }
-_LOGISTIC_SHAPE = "logistic"
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -100,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smooth_cmd = sub.add_parser("smooth", help="continuous representation of a step function")
     smooth_cmd.add_argument("--input", required=True, help="step function JSON file")
-    smooth_cmd.add_argument(
-        "--shape", default="linear", choices=sorted(_SHAPE_ALIASES) + [_LOGISTIC_SHAPE]
-    )
+    smooth_cmd.add_argument("--shape", default="linear", choices=sorted(_SHAPE_ALIASES))
     smooth_cmd.add_argument("--eps-exp", type=_fraction_arg, default=Fraction(-1))
     smooth_cmd.add_argument("--from", dest="start", type=_fraction_arg, default=None)
     smooth_cmd.add_argument("--to", dest="end", type=_fraction_arg, default=None)
@@ -112,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     smooth_cmd.add_argument(
         "--standin-width",
-        type=float,
+        type=_fraction_arg,
         default=None,
         help="finite half-width used only for CSV sampling",
     )
@@ -251,11 +248,9 @@ def _cmd_sum(args) -> int:
     return 0 if match else 1
 
 
-def _default_standin(step: StepFunction) -> float:
-    gaps = [
-        float(b - a) for a, b in zip(step.breakpoints, step.breakpoints[1:])
-    ]
-    return min(gaps) / 8 if gaps else 0.25
+def _default_standin(step: StepFunction) -> Fraction:
+    gaps = [b - a for a, b in zip(step.breakpoints, step.breakpoints[1:])]
+    return min(gaps) / 8 if gaps else Fraction(1, 4)
 
 
 def _cmd_smooth(args) -> int:
@@ -270,8 +265,7 @@ def _cmd_smooth(args) -> int:
         trapezoid_discontinuity_budget,
     )
 
-    logistic = args.shape == _LOGISTIC_SHAPE
-    shape = args.shape if logistic else BridgeShape(_SHAPE_ALIASES[args.shape])
+    shape = BridgeShape(_SHAPE_ALIASES[args.shape])
     with open(args.input, "r", encoding="utf-8") as fh:
         step = StepFunction.from_json(fh.read())
     _check_infinitesimal_exponent("--eps-exp", args.eps_exp, "the half-width")
@@ -285,23 +279,18 @@ def _cmd_smooth(args) -> int:
     if args.emit_csv:
         if not 2 <= args.samples <= MAX_SAMPLES:
             raise ValueError(f"--samples must be between 2 and {MAX_SAMPLES}")
-        width = args.standin_width or _default_standin(step)
-        xs = [float(lo) + (float(hi) - float(lo)) * i / (args.samples - 1) for i in range(args.samples)]
+        width = _default_standin(step) if args.standin_width is None else args.standin_width
+        xs = [lo + (hi - lo) * Fraction(i, args.samples - 1) for i in range(args.samples)]
         ys = sample_curve(step, shape, width, xs)
         with open(args.emit_csv, "w", encoding="utf-8") as fh:
             fh.write(
                 f"# smoothed step function; shape={args.shape}; eps=w^{args.eps_exp} "
-                f"rendered at finite stand-in half-width {width}\n"
+                f"rendered at finite stand-in half-width {width}; "
+                "x and y exact, each rounded once to the nearest float\n"
             )
             fh.write("x,y\n")
             for x, y in zip(xs, ys):
-                fh.write(f"{x!r},{y!r}\n")
-
-    if logistic:
-        if not args.emit_csv:
-            raise ValueError("the logistic shape is sampling-only; pass --emit-csv")
-        print(f"wrote {args.emit_csv} (logistic shape: no exact-area claims)")
-        return 0
+                fh.write(f"{float(x)!r},{float(y)!r}\n")
 
     eps = omega(args.eps_exp)
     smoothed = smooth(step, shape, eps)

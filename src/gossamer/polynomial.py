@@ -40,7 +40,7 @@ __all__ = [
     "shift_integral_identity",
 ]
 
-Operand = Union[int, float, Fraction, Gossamer]
+Operand = Union[int, Fraction, Gossamer]
 
 # The zero coefficient every lazily built polynomial shares.
 _ZERO = Fraction(0)
@@ -141,7 +141,7 @@ class Polynomial:
         series c*w^e + k (e != 0, k an integer, possibly 0) the value is
         p's coefficients relabelled: an integer Taylor shift by k gives the
         coefficients r_j of p(y + k), and term j is r_j*c^j at w^(j*e).
-        Floats and every other series go through Horner's rule.
+        Every other series goes through Horner's rule; a float is a TypeError.
         """
         if isinstance(x, Gossamer):
             terms = x.terms
@@ -150,9 +150,10 @@ class Polynomial:
             form = _monomial_plus_integer(terms)
             if form is not None:
                 return _relabel(self, x, *form)
-        elif not isinstance(x, float):
+            return _horner(self.coefficients, x)
+        if isinstance(x, (int, Fraction)):
             return _at_rational(self, x if type(x) is Fraction else Fraction(x))
-        return _horner(self.coefficients, x)
+        raise TypeError(f"cannot evaluate a Polynomial at {type(x).__name__}")
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coefficients) if i)
@@ -446,17 +447,17 @@ def _at_finite(p: Polynomial, x: Gossamer) -> Gossamer:
 def _horner(coefficients: tuple, x: Operand):
     """Horner evaluation; the result type follows the argument type.
 
-    ``evaluate`` sends it floats and the series that are neither finite
-    nor c*w^e + k; a Riemann sum sends it 1/nu off that form.  At a
-    rational or finite argument it returns what ``_at_rational`` and
-    ``_at_finite`` return, and the tests use it as their reference.
+    ``evaluate`` sends it the series that are neither finite nor c*w^e + k;
+    a Riemann sum sends it 1/nu off that form.  At a rational or finite
+    argument it returns what ``_at_rational`` and ``_at_finite`` return,
+    and the tests use it as their reference.
 
     For an infinitesimal series x with leading exponent e < 0, every
     term of x^i lies at or below i*e, so no coefficient above degree
     floor(x.truncation_floor / e) reaches x's floor.  The loop starts
     there, from a truncated zero when it skips a nonzero coefficient.
     """
-    if not isinstance(x, (Gossamer, float)):
+    if not isinstance(x, Gossamer):
         x = Fraction(x)
     if isinstance(x, Gossamer) and x.truncation_floor > 0:
         # No constant survives a positive floor, so each ``+ c`` would drop
@@ -470,11 +471,9 @@ def _horner(coefficients: tuple, x: Operand):
         if any(coeffs[reach + 1 :]):
             acc = Gossamer(floor=x.truncation_floor, truncated=True)
             coeffs = coeffs[: reach + 1]
-    # A float sum keeps every ``+ c``: (-0.0) + 0 is 0.0.
-    keep_zeros = isinstance(x, float)
     for c in reversed(coeffs):
         acc = acc * x
-        if c or keep_zeros:
+        if c:
             acc = acc + c
     return acc
 

@@ -46,7 +46,6 @@ from .sums import (
     sum_at_point,
     sum_ftc,
     sum_interval_bruteforce,
-    sum_to_integral_bridge,
 )
 
 __all__ = ["CaseResult", "SUITE_NAMES", "VerificationReport", "run_suite"]
@@ -215,11 +214,24 @@ def _gossamer_axioms_case(rng: random.Random, i: int) -> tuple[str, Checks]:
             checks.append(
                 ("asymptotic-decomposition", (not d) or (d.much_less(a) and d.much_less(b)))
             )
+    # sum_{k=1}^{order} a_k*h^k at h = w^e is the terms (k*e, a_k), a_k
+    # cycling through the list: the nonzero ones at or above the floor are
+    # kept, and a nonzero one below it sets the flag.
     series_coeffs = [_fraction(rng, -9, 9, 3) for _ in range(rng.randint(1, 5))]
     h = omega(rng.choice((-1, -3)))
-    total = bounded_series_sum(series_coeffs, h, rng.randint(1, 8))
+    order = rng.randint(1, 8)
+    total = bounded_series_sum(series_coeffs, h, order)
+    placed = [
+        (k * h.leading_exponent, series_coeffs[(k - 1) % len(series_coeffs)])
+        for k in range(1, order + 1)
+    ]
+    floor = h.truncation_floor
     checks.append(
-        ("series-sum-infinitesimal", total.classify() in (Kind.ZERO, Kind.INFINITESIMAL))
+        (
+            "series-sum-placement",
+            total.terms == tuple((e, c) for e, c in placed if c and e >= floor)
+            and total.truncated == any(c and e < floor for e, c in placed),
+        )
     )
     return f"a={a}; b={b}; c={c}", checks
 
@@ -362,7 +374,6 @@ def _sum_ftc_case(rng: random.Random, i: int) -> tuple[str, Checks]:
             "infinite-endpoint-substitution",
             symbolic.at_omega(n) == sum_interval_bruteforce(g, 1, n),
         ),
-        ("bridge", sum_to_integral_bridge(g, a, b).equal),
     ]
     return f"g={g.to_text('k')}; a={a}; b={b}; c={c}", checks
 
@@ -370,6 +381,12 @@ def _sum_ftc_case(rng: random.Random, i: int) -> tuple[str, Checks]:
 # Smoothing rotates its bridge shape and half-width with the case index.
 _SHAPES = tuple(BridgeShape)
 _EPSILONS = (omega(-1), omega(-2), omega(-5))
+# Each shape's s(1/4) and s(3/4), worked by hand from its polynomial.
+_BRIDGE_QUARTERS = {
+    BridgeShape.LINEAR: (Fraction(1, 4), Fraction(3, 4)),
+    BridgeShape.CUBIC_SMOOTHSTEP: (Fraction(5, 32), Fraction(27, 32)),
+    BridgeShape.QUINTIC_SMOOTHSTEP: (Fraction(53, 512), Fraction(459, 512)),
+}
 
 
 def _smoothing_case(rng: random.Random, i: int) -> tuple[str, Checks]:
@@ -406,6 +423,12 @@ def _smoothing_case(rng: random.Random, i: int) -> tuple[str, Checks]:
                 and smoothed.value_at(at + eps) == hi
                 and smoothed.value_at(at) == Fraction(lo + hi, 2),
             )
+        )
+        # q -+ eps/2 lies at t = 1/4 and 3/4 of the bridge, where only the
+        # shape sets the value.
+        inside = [smoothed.value_at(at - eps / 2), smoothed.value_at(at + eps / 2)]
+        checks.append(
+            (f"bridge-inside-at-{q}", inside == [lo + (hi - lo) * s for s in _BRIDGE_QUARTERS[shape]])
         )
     return f"jumps={len(step.breakpoints)}; shape={shape.value}; eps={eps}", checks
 

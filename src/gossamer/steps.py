@@ -9,9 +9,8 @@ bridge collapses back to the original step under transfer to the reals.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
@@ -23,7 +22,6 @@ __all__ = [
     "AreaDelta",
     "BridgeShape",
     "DiscontinuityBudget",
-    "LOGISTIC_SHAPE",
     "SHAPE_POLYNOMIALS",
     "SmoothedFunction",
     "StepFunction",
@@ -38,25 +36,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(namedtuple("StepFunction", "breakpoints levels")):
     """Piecewise-constant function: level ``levels[i]`` holds on (q_i, q_{i+1}].
 
     The value at a breakpoint is the level to its left, matching the
     strict bracket [x > q] for the unit step.
     """
 
-    breakpoints: Tuple[Fraction, ...]
-    levels: Tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(Fraction(q) for q in self.breakpoints))
-        object.__setattr__(self, "levels", tuple(Fraction(y) for y in self.levels))
-        if len(self.levels) != len(self.breakpoints) + 1:
+    def __new__(cls, breakpoints: Iterable[RationalLike], levels: Iterable[RationalLike]):
+        breakpoints = tuple(Fraction(q) for q in breakpoints)
+        levels = tuple(Fraction(y) for y in levels)
+        if len(levels) != len(breakpoints) + 1:
             raise ValueError("need exactly one more level than breakpoints")
-        for prev, cur in zip(self.breakpoints, self.breakpoints[1:]):
+        for prev, cur in zip(breakpoints, breakpoints[1:]):
             if cur <= prev:
                 raise ValueError("breakpoints must be strictly increasing")
+        return super().__new__(cls, breakpoints, levels)
+
+    @classmethod
+    def _make(cls, iterable):
+        """A record from a sequence, through ``__new__``, so ``_replace`` checks too."""
+        return cls(*iterable)
 
     def value_at(self, x: RationalLike) -> Fraction:
         return self.levels[bisect_left(self.breakpoints, Fraction(x))]
@@ -156,9 +158,6 @@ SHAPE_POLYNOMIALS = {
     BridgeShape.QUINTIC_SMOOTHSTEP: Polynomial((0, 0, 0, 10, -15, 6)),
 }
 
-# Float-sampling-only s-curve (no rational integral, so no exact-area claims).
-LOGISTIC_SHAPE = "logistic"
-
 
 def _require_positive_infinitesimal(eps: Gossamer) -> None:
     if eps.classify() is not Kind.INFINITESIMAL or eps.compare(0) <= 0:
@@ -167,11 +166,11 @@ def _require_positive_infinitesimal(eps: Gossamer) -> None:
         )
 
 
-def _locate(breakpoints: Sequence, x, eps) -> Tuple[int, Union[Gossamer, float, None]]:
+def _locate(breakpoints: Sequence, x, eps) -> Tuple[int, Union[Gossamer, Fraction, None]]:
     """``(i, t)``: x in bridge i, (q_i - eps, q_i + eps], at fraction t; t None on run i.
 
     Bridges are disjoint and sorted, so one bisection finds the first
-    bridge x does not lie past.  x and eps are both exact or both floats.
+    bridge x does not lie past.
     """
     i = bisect_left(breakpoints, x, key=lambda q: q + eps)
     if i < len(breakpoints):
@@ -181,29 +180,41 @@ def _locate(breakpoints: Sequence, x, eps) -> Tuple[int, Union[Gossamer, float, 
     return i, None
 
 
-@dataclass(frozen=True)
-class SmoothedFunction:
+def _curve_at(step: StepFunction, shape: BridgeShape, x, eps):
+    """levels[i] on run i; levels[i] + rise*s(t) at fraction t of bridge i, s the shape's polynomial.
+
+    x and eps are both series (``SmoothedFunction.value_at``) or both
+    ``Fraction``s (a finite stand-in, ``sample_curve``): exact either way.
+    """
+    levels = step.levels
+    i, t = _locate(step.breakpoints, x, eps)
+    if t is None:
+        return levels[i]
+    return levels[i] + (levels[i + 1] - levels[i]) * SHAPE_POLYNOMIALS[shape].evaluate(t)
+
+
+class SmoothedFunction(namedtuple("SmoothedFunction", "base bridge_shape halfwidth")):
     """A step function with each jump replaced by an interpolant on (q-eps, q+eps]."""
 
-    base: StepFunction
-    bridge_shape: BridgeShape
-    halfwidth: Gossamer
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.bridge_shape, BridgeShape):
-            object.__setattr__(self, "bridge_shape", BridgeShape(self.bridge_shape))
-        _require_positive_infinitesimal(self.halfwidth)
+    def __new__(cls, base: StepFunction, bridge_shape: Union[BridgeShape, str], halfwidth: Gossamer):
+        bridge_shape = BridgeShape(bridge_shape)
+        _require_positive_infinitesimal(halfwidth)
+        return super().__new__(cls, base, bridge_shape, halfwidth)
+
+    @classmethod
+    def _make(cls, iterable):
+        """A record from a sequence, through ``__new__``, so ``_replace`` checks too."""
+        return cls(*iterable)
 
     def value_at(self, x: Union[RationalLike, Gossamer]) -> Gossamer:
         """Exact value, including inside bridges; continuous across every boundary."""
+        floor = self.halfwidth.truncation_floor
         if not isinstance(x, Gossamer):
-            x = Gossamer.from_rational(Fraction(x), floor=self.halfwidth.truncation_floor)
-        levels = self.base.levels
-        i, t = _locate(self.base.breakpoints, x, self.halfwidth)
-        if t is None:
-            return Gossamer.from_rational(levels[i], floor=self.halfwidth.truncation_floor)
-        rise = levels[i + 1] - levels[i]
-        return levels[i] + rise * SHAPE_POLYNOMIALS[self.bridge_shape].evaluate(t)
+            x = Gossamer.from_rational(Fraction(x), floor=floor)
+        y = _curve_at(self.base, self.bridge_shape, x, self.halfwidth)
+        return y if isinstance(y, Gossamer) else Gossamer.from_rational(y, floor=floor)
 
 
 def smooth(
@@ -290,33 +301,19 @@ def transfer_to_real(f2: SmoothedFunction) -> StepFunction:
     return StepFunction(qs, tuple(f2.value_at(x).standard_part() for x in points))
 
 
-def _logistic(t: float) -> float:
-    # Steepness 8 reaches the endpoints to within 3e-4 over [0, 1].
-    return 1.0 / (1.0 + math.exp(-8.0 * (2.0 * t - 1.0)))
-
-
 def sample_curve(
     step: StepFunction,
     shape: Union[BridgeShape, str],
-    halfwidth: float,
-    xs: Sequence[float],
-) -> list[float]:
-    """Float samples of the smoothed curve at a finite stand-in half-width.
+    halfwidth: RationalLike,
+    xs: Iterable[RationalLike],
+) -> list[Fraction]:
+    """The smoothed curve at each x, exactly, with a finite stand-in half-width.
 
-    For plotting only; accepts the logistic s-curve alongside the exact
-    shapes.
+    The same evaluator as ``SmoothedFunction.value_at``, at a rational
+    half-width in place of the infinitesimal one; for plotting.
     """
+    halfwidth = Fraction(halfwidth)
     if halfwidth <= 0:
         raise ValueError("stand-in half-width must be positive")
-    if shape == LOGISTIC_SHAPE:
-        interp = _logistic
-    else:
-        poly = SHAPE_POLYNOMIALS[BridgeShape(shape)]
-        interp = poly.evaluate
-    breakpoints = [float(q) for q in step.breakpoints]
-    levels = [float(y) for y in step.levels]
-    located = (_locate(breakpoints, x, halfwidth) for x in xs)
-    return [
-        levels[i] if t is None else levels[i] + (levels[i + 1] - levels[i]) * float(interp(t))
-        for i, t in located
-    ]
+    shape = BridgeShape(shape)
+    return [_curve_at(step, shape, Fraction(x), halfwidth) for x in xs]

@@ -23,26 +23,20 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .core import Gossamer
 from .polynomial import Polynomial, _from_numerators, _integer_form
 from .riemann import faulhaber
 
-if TYPE_CHECKING:
-    from .steps import StepFunction
-
 __all__ = [
     "ClosedFormSum",
-    "SumBridge",
     "SumFtcResult",
     "indefinite_sum",
-    "lower_sum_at_point",
     "prefix_sums_match",
     "sum_at_point",
     "sum_ftc",
     "sum_interval_bruteforce",
-    "sum_to_integral_bridge",
 ]
 
 Endpoint = Union[int, Fraction, Gossamer]
@@ -123,11 +117,6 @@ def sum_at_point(s: ClosedFormSum, a: Endpoint):
     return s.point_function.evaluate(a)
 
 
-def lower_sum_at_point(s: ClosedFormSum, a: Endpoint):
-    """The lower-decorated sum, defined as the negation of the point value."""
-    return -sum_at_point(s, a)
-
-
 def sum_interval_bruteforce(g: Polynomial, a: int, b: int) -> Fraction:
     """Direct accumulation of sum_{k=a}^{b} g(k), in O(b - a); a test oracle."""
     if a > b:
@@ -161,12 +150,6 @@ class SumFtcResult(NamedTuple):
     closed_form: ClosedFormSum
 
 
-class SumBridge(NamedTuple):
-    step: StepFunction
-    integral: Fraction
-    equal: bool
-
-
 def _endpoint(x: Endpoint) -> Gossamer:
     """x as a series: an integer plus infinite terms (w + 1 is an endpoint, w + 1/2 is not)."""
     if not isinstance(x, Gossamer):
@@ -192,22 +175,3 @@ def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     s = indefinite_sum(g)
     return SumFtcResult(sum_at_point(s, b) - sum_at_point(s, a - 1), s)
 
-
-def sum_to_integral_bridge(g: Polynomial, a: int, b: int) -> SumBridge:
-    """Realize sum_{k=a}^{b} g(k) as the area of a step of height g(k) on [k, k+1).
-
-    The continuous representation of the step lives in the smoothing
-    module; here the step's exact area is checked against the closed
-    form ``sum_ftc(g, a, b)``.
-    """
-    from .steps import StepFunction
-
-    if a > b:
-        raise ValueError(f"empty range: {a} > {b}")
-    heights = [g.evaluate(Fraction(k)) for k in range(a, b + 1)]
-    step = StepFunction(
-        tuple(Fraction(k) for k in range(a, b + 2)),
-        (Fraction(0), *heights, Fraction(0)),
-    )
-    integral = step.area(Fraction(a), Fraction(b + 1))
-    return SumBridge(step, integral, sum_ftc(g, a, b).value == integral)

@@ -9,7 +9,7 @@ import gossamer.report
 from gossamer.cli import MAX_CASES, MAX_SAMPLES, main
 from gossamer.polynomial import MAX_PARSE_DEGREE
 from gossamer.report import SUITE_NAMES, run_suite
-from gossamer.steps import LOGISTIC_SHAPE, BridgeShape
+from gossamer.steps import BridgeShape
 
 HEAVYSIDE = '{"breakpoints": ["0"], "levels": ["0", "1"]}'
 
@@ -167,9 +167,36 @@ class TestSmooth:
             == 0
         )
         lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("#") and "stand-in" in lines[0]
-        assert lines[1] == "x,y"
-        assert len(lines) == 13
+        assert lines[0] == (
+            "# smoothed step function; shape=quintic; eps=w^-1 rendered at finite stand-in "
+            "half-width 1/4; x and y exact, each rounded once to the nearest float"
+        )
+        # x = -1 + i/5 and y, each the float nearest the exact value: at
+        # t = 1/10 the quintic is 107/12500, and 1 - that at t = 9/10.
+        assert lines[1:] == [
+            "x,y", "-1.0,0.0", "-0.8,0.0", "-0.6,0.0", "-0.4,0.0", "-0.2,0.00856", "0.0,0.5",
+            "0.2,0.99144", "0.4,1.0", "0.6,1.0", "0.8,1.0", "1.0,1.0",
+        ]
+
+    @pytest.mark.parametrize(
+        "width, exact",
+        [("0.25", "1/4"), ("1e-3", "1/1000"), ("2/3", "2/3")],
+        ids=["decimal", "exponent", "fraction"],
+    )
+    def test_standin_width_is_read_exactly(self, width, exact, heavyside_file, tmp_path):
+        csv_path = tmp_path / "curve.csv"
+        argv = ["smooth", "--input", heavyside_file, "--emit-csv", str(csv_path), "--standin-width", width]
+        assert main(argv) == 0
+        assert f"stand-in half-width {exact};" in csv_path.read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("width", ["0", "-1/4"])
+    def test_standin_width_must_be_positive(self, width, heavyside_file, tmp_path, capsys):
+        # 0 is no stand-in for a default: it is rejected like any width <= 0.
+        csv_path = tmp_path / "curve.csv"
+        argv = ["smooth", "--input", heavyside_file, "--emit-csv", str(csv_path), "--standin-width", width]
+        assert main(argv) == 2
+        assert option_error(capsys) == "error: stand-in half-width must be positive\n"
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("samples", ["1", str(MAX_SAMPLES + 1)])
     def test_samples_out_of_range_is_usage(self, samples, heavyside_file, tmp_path, capsys):
@@ -179,17 +206,15 @@ class TestSmooth:
         assert f"between 2 and {MAX_SAMPLES}" in option_error(capsys)
         assert not csv_path.exists()
 
-    def test_logistic_requires_csv(self, heavyside_file, capsys):
-        assert main(["smooth", "--input", heavyside_file, "--shape", "logistic"]) == 2
-        assert option_error(capsys).startswith("error: the logistic shape is sampling-only")
-
-    def test_logistic_with_csv(self, heavyside_file, tmp_path):
+    def test_logistic_is_no_shape(self, heavyside_file, tmp_path, capsys):
+        # Only the exact polynomial shapes remain: the logistic curve never met its ends.
         csv_path = tmp_path / "s.csv"
-        assert (
-            main(["smooth", "--input", heavyside_file, "--shape", "logistic", "--emit-csv", str(csv_path)])
-            == 0
-        )
-        assert csv_path.exists()
+        argv = ["smooth", "--input", heavyside_file, "--shape", "logistic", "--emit-csv", str(csv_path)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'logistic'" in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_missing_file_is_usage(self):
         assert main(["smooth", "--input", "/nonexistent.json"]) == 2
@@ -314,19 +339,17 @@ class TestParserChoices:
         assert {BridgeShape(value) for value in aliases.values()} == set(BridgeShape)
         assert all(aliases[shape.value] == shape.value for shape in BridgeShape)
 
-    def test_logistic_name_is_the_steps_name(self):
-        assert gossamer.cli._LOGISTIC_SHAPE == LOGISTIC_SHAPE
-
 
 # sha256 of each --help text at 80 columns, recorded when the parser still
-# read its choices from report and steps; the same on Python 3.10-3.12.
+# read its choices from report and steps, and for ``smooth`` again when
+# ``--shape`` lost ``logistic``; the same on Python 3.10-3.12.
 HELP_DIGESTS = {
     "gossamer": "dbd3c810c1750b1b5f9eeb74213ffae92b6ec6bf69065b03eb4afa13da1b430c",
     "verify": "0254a121110f8c66bdea4944272e7189e1769754cc9d79bcc991a1e13b8d1a7a",
     "riemann": "633c5e50b64ec34cf402dfeceffb51f14b42d9e521e38abfc3eb1c4104d1f5b3",
     "ftc": "0a0052b8bcd23b199e1c11cd57cf591188f41ef06fc723446348e7e1bb1887b3",
     "sum": "cea4f0e6e1c93650b6d346a0b83976ceb01bfc167617a8e25e98d1944240d896",
-    "smooth": "315a6da882b244a1ad4de7c80cec951a7b56d755ad327f0162a17c41ca6284a3",
+    "smooth": "ee16fa6da842bbe0787a24068eba3793173ce2accb0e6f63d25d1862e6b3774d",
     "pipeline": "60dbfd29a1bc06a9dae94054140b8c964e51cffdc8b79398669ec1a25effb64e",
 }
 

@@ -35,7 +35,7 @@ def test_cli_import_loads_neither_report_nor_steps():
 def test_package_import_loads_no_submodule():
     assert not any(name.startswith("gossamer.") for name in loaded_after("import gossamer"))
     # The submodules an eager import once loaded stay readable from the package.
-    assert "gossamer.steps" in loaded_after("import gossamer\ngossamer.steps.LOGISTIC_SHAPE")
+    assert "gossamer.steps" in loaded_after("import gossamer\ngossamer.steps.SHAPE_POLYNOMIALS")
 
 
 @pytest.mark.parametrize(
@@ -45,7 +45,7 @@ def test_package_import_loads_no_submodule():
         (["pipeline", "--poly", "x^2"], HEAVY),
         (["sum", "--term", "k^2", "--from", "1", "--to", "w"], HEAVY),
         (["ftc", "--poly", "x^2", "--x", "2"], HEAVY),
-        (["smooth", "--input", "STEP"], ("gossamer.report",)),
+        (["smooth", "--input", "STEP"], ("gossamer.report", "dataclasses")),
     ],
     ids=["riemann", "pipeline", "sum", "ftc", "smooth"],
 )

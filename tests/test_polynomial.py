@@ -52,11 +52,10 @@ class TestEvaluate:
         assert value.terms == Gossamer.parse("w^6 + 2*w^5 + w^4").terms
         assert value.truncated
 
-    def test_float_sum_keeps_the_zero_constant(self):
-        # (-1.0)**2 + (-1.0) is -0.0 before the constant 0 is added.
-        value = Polynomial.parse("x^2 + x").evaluate(-1.0)
-        assert value == 0.0
-        assert math.copysign(1.0, value) == 1.0
+    def test_float_argument_is_a_type_error(self):
+        # A float stands for no exact rational: evaluation has no float path.
+        with pytest.raises(TypeError, match="^cannot evaluate a Polynomial at float$"):
+            Polynomial.parse("x^2 + x").evaluate(-1.0)
 
 
 # Infinitesimal arguments and the degree floor(floor / e) their powers reach.
@@ -231,7 +230,8 @@ def test_zero_polynomial_at_a_rational_point(q):
 
 
 # Arguments off the relabelled form.  The constant and the zero series are
-# finite, and take the integer pass; every value still equals Horner's.
+# finite, and take the integer pass; every value still equals Horner's.  A
+# float takes no path at all.
 OFF_FORM = {
     "non-integer-constant": Gossamer.parse("w + 1/2"),
     "two-non-constant-terms": Gossamer.parse("w - w^-1"),
@@ -246,11 +246,11 @@ OFF_FORM = {
 @given(p=polynomials)
 def test_other_arguments_take_horner(argument, p):
     x = OFF_FORM[argument]
-    value, horner = p.evaluate(x), _horner(p.coefficients, x)
     if isinstance(x, float):
-        assert value == horner and type(value) is float
+        with pytest.raises(TypeError, match="^cannot evaluate a Polynomial at float$"):
+            p.evaluate(x)
     else:
-        assert same_value(value, horner)
+        assert same_value(p.evaluate(x), _horner(p.coefficients, x))
 
 
 class TestInit:
@@ -265,10 +265,10 @@ class TestInit:
 
 
 # Arguments that read a polynomial's integer form alone (rationals, c*w^e + k
-# off c = 1, k = 0), that read its Fractions (w^e, floats, other series), and
-# the finite series.
+# off c = 1, k = 0), that read its Fractions (w^e, other series), and the
+# finite series.
 LAZY_ARGUMENTS = (
-    Fraction(0), Fraction(-3, 2), 5, 0.75, Gossamer(), Gossamer.from_rational(Fraction(2, 3)),
+    Fraction(0), Fraction(-3, 2), 5, Gossamer(), Gossamer.from_rational(Fraction(2, 3)),
     omega(), omega(2), omega(Fraction(1, 2)), 3 * omega(), omega() + 1, omega() + omega(-1),
 )
 

@@ -50,7 +50,8 @@ X2 = Polynomial.parse("x^2")
 ONE = Polynomial.constant(1)
 
 # Partition counts: the canonical w, higher and fractional powers, a
-# scaled count and a multi-term count.
+# scaled count, and counts c*w + k with k = 1 and with k outside {0, 1},
+# where k^2 != k.
 COUNTS = {
     "w": omega(),
     "w^2": omega(2),
@@ -58,6 +59,9 @@ COUNTS = {
     "w^1/2": omega(Fraction(1, 2)),
     "3w": 3 * omega(),
     "w+1": omega() + 1,
+    "w-1": omega() - 1,
+    "w+2": omega() + 2,
+    "2w-3": 2 * omega() - 3,
 }
 
 

@@ -23,13 +23,21 @@ from gossamer import (
     transfer_to_real,
     trapezoid_discontinuity_budget,
 )
-from gossamer.steps import LOGISTIC_SHAPE, SHAPE_POLYNOMIALS, _logistic
+from gossamer.steps import SHAPE_POLYNOMIALS
 from strategies import step_functions
 
 EPS = omega(-1)
 SHAPES = tuple(BridgeShape)
 
 PRIME_STEPS = [(2, 1), (3, 1), (5, 1), (7, 1)]
+
+# Each shape's s(1/4) and s(3/4), worked by hand from its polynomial: the
+# values a bridge takes at q - eps/2 and q + eps/2, where only the shape counts.
+QUARTERS = {
+    BridgeShape.LINEAR: (Fraction(1, 4), Fraction(3, 4)),
+    BridgeShape.CUBIC_SMOOTHSTEP: (Fraction(5, 32), Fraction(27, 32)),
+    BridgeShape.QUINTIC_SMOOTHSTEP: (Fraction(53, 512), Fraction(459, 512)),
+}
 
 
 class TestStepFunction:
@@ -271,20 +279,22 @@ class TestJson:
 class TestSampling:
     def test_linear_profile(self):
         step = iverson_step(0)
-        xs = [-1.0, -0.5, 0.0, 0.5, 1.0]
-        ys = sample_curve(step, "linear", 0.5, xs)
-        assert ys == [0.0, 0.0, 0.5, 1.0, 1.0]
+        half = Fraction(1, 2)
+        ys = sample_curve(step, "linear", half, [-1, -half, 0, half, 1])
+        assert ys == [0, 0, half, 1, 1]
+        assert all(type(y) is Fraction for y in ys)
 
-    def test_logistic_monotone(self):
-        step = iverson_step(0)
-        xs = [i / 10 - 1.0 for i in range(21)]
-        ys = sample_curve(step, LOGISTIC_SHAPE, 0.5, xs)
-        assert all(b >= a for a, b in zip(ys, ys[1:]))
-        assert ys[0] == 0.0 and ys[-1] == 1.0
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inside_each_bridge_the_shape_sets_the_value(self, shape):
+        # Half-width 1/2 at the jump 1 -> 3 at q = 2: t = 1/4 at 7/4, 3/4 at 9/4.
+        step = StepFunction((2,), (1, 3))
+        quarter, three_quarters = QUARTERS[shape]
+        ys = sample_curve(step, shape, Fraction(1, 2), [Fraction(7, 4), Fraction(9, 4)])
+        assert ys == [1 + 2 * quarter, 1 + 2 * three_quarters]
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
-            sample_curve(iverson_step(0), "linear", 0.0, [0.0])
+            sample_curve(iverson_step(0), "linear", 0, [0])
 
 
 # -- invariants -------------------------------------------------------------
@@ -329,39 +339,48 @@ def test_bridge_continuity(step, shape):
         assert smoothed.value_at(q + EPS) == hi
 
 
+@given(step_functions(), shapes, epsilon_exponents)
+def test_bridge_inside_follows_the_shape(step, shape, eps_exp):
+    eps = omega(eps_exp)
+    smoothed = smooth(step, shape, eps)
+    quarter, three_quarters = QUARTERS[shape]
+    for q, lo, hi in step.jumps():
+        q = Gossamer.from_rational(q)
+        assert smoothed.value_at(q - eps / 2) == lo + (hi - lo) * quarter
+        assert smoothed.value_at(q + eps / 2) == lo + (hi - lo) * three_quarters
+
+
 @given(step_functions())
 def test_json_round_trip(step):
     assert StepFunction.from_json(step.to_json()) == step
 
 
 def scan_samples(step, shape, halfwidth, xs):
-    """Oracle: a linear scan over every breakpoint for each sample."""
-    interp = _logistic if shape == LOGISTIC_SHAPE else SHAPE_POLYNOMIALS[BridgeShape(shape)].evaluate
-    breakpoints = [float(q) for q in step.breakpoints]
-    levels = [float(y) for y in step.levels]
+    """Oracle: a linear scan over every breakpoint for each sample, in ``Fraction``s."""
+    interp = SHAPE_POLYNOMIALS[BridgeShape(shape)].evaluate
     out = []
     for x in xs:
-        for i, q in enumerate(breakpoints):
+        for i, q in enumerate(step.breakpoints):
             if x <= q - halfwidth:
-                out.append(levels[i])
+                out.append(step.levels[i])
                 break
             if x <= q + halfwidth:
-                t = (x - (q - halfwidth)) / (2.0 * halfwidth)
-                out.append(levels[i] + (levels[i + 1] - levels[i]) * float(interp(t)))
+                t = (x - (q - halfwidth)) / (2 * halfwidth)
+                out.append(step.levels[i] + (step.levels[i + 1] - step.levels[i]) * interp(t))
                 break
         else:
-            out.append(levels[-1])
+            out.append(step.levels[-1])
     return out
 
 
 @given(
     step_functions(),
-    st.sampled_from(SHAPES + (LOGISTIC_SHAPE,)),
-    st.sampled_from([0.01, 0.05, 0.25, 1 / 3]),
-    st.lists(st.floats(-40, 40), max_size=8),
+    st.sampled_from(SHAPES),
+    st.sampled_from([Fraction(1, 100), Fraction(1, 20), Fraction(1, 4), Fraction(1, 3)]),
+    st.lists(st.fractions(-40, 40, max_denominator=12), max_size=8),
 )
 def test_sample_curve_matches_the_breakpoint_scan(step, shape, halfwidth, extra):
     # Every bridge edge q +- hw exactly, its midpoint, and free points.
-    edges = [float(q) + d for q in step.breakpoints for d in (-halfwidth, 0.0, halfwidth)]
+    edges = [q + d for q in step.breakpoints for d in (-halfwidth, 0, halfwidth)]
     xs = edges + extra
     assert sample_curve(step, shape, halfwidth, xs) == scan_samples(step, shape, halfwidth, xs)

@@ -15,13 +15,11 @@ from gossamer import (
     Polynomial,
     faulhaber,
     indefinite_sum,
-    lower_sum_at_point,
     omega,
     prefix_sums_match,
     sum_at_point,
     sum_ftc,
     sum_interval_bruteforce,
-    sum_to_integral_bridge,
 )
 from gossamer.core import _common_numerators
 from strategies import point_polynomial, point_value_difference, polynomials, same_value
@@ -224,10 +222,6 @@ class TestSumAtPoint:
     def test_infinite(self):
         assert sum_at_point(indefinite_sum(K), omega()) == Gossamer.parse("1/2*w^2 + 1/2*w")
 
-    def test_lower_is_negation(self):
-        s = indefinite_sum(K2)
-        assert lower_sum_at_point(s, 10) == -sum_at_point(s, 10)
-
 
 class TestBruteforce:
     def test_examples(self):
@@ -292,7 +286,7 @@ class TestSumFtc:
         s = indefinite_sum(K)
         assert sum_at_point(s, 10) - sum_at_point(s, 3) == sum_interval_bruteforce(K, 4, 10) == 49
 
-    @given(small_polys, st.integers(0, 60), st.integers(0, 60))
+    @given(small_polys, st.integers(-10, 60), st.integers(-10, 60))
     def test_oracle_equivalence(self, g, a, b):
         a, b = min(a, b), max(a, b)
         result = sum_ftc(g, a, b)
@@ -444,43 +438,3 @@ class TestPrefixSumsMatch:
         assert g._form is not None
         assert prefix_sums_match(g, point)
         assert [c for c in calls if c is g.coefficients] == [g.coefficients]
-
-
-class TestBridge:
-    def test_staircase(self):
-        result = sum_to_integral_bridge(K, 1, 3)
-        assert [result.step.value_at(Fraction(k, 2)) for k in (3, 5, 7)] == [1, 2, 3]
-        assert result.integral == 6
-        assert result.equal
-
-    def test_unit_box(self):
-        result = sum_to_integral_bridge(Polynomial.constant(1), 0, 0)
-        assert result.integral == 1
-        assert result.equal
-
-    def test_squares(self):
-        result = sum_to_integral_bridge(K2, 2, 4)
-        assert result.integral == 4 + 9 + 16 == 29
-        assert result.equal
-
-    def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            sum_to_integral_bridge(K, 2, 1)
-
-    def test_area_is_checked_against_the_closed_form(self, monkeypatch):
-        exact = gossamer.sums.sum_ftc
-
-        def off_by_one(g, a, b):
-            result = exact(g, a, b)
-            return result._replace(value=result.value + 1)
-
-        monkeypatch.setattr(gossamer.sums, "sum_ftc", off_by_one)
-        result = sum_to_integral_bridge(K2, 2, 4)
-        assert result.integral == 29
-        assert not result.equal
-
-    @given(small_polys, st.integers(-10, 10), st.integers(0, 8))
-    def test_bridge_matches_sum(self, g, a, width):
-        result = sum_to_integral_bridge(g, a, a + width)
-        assert result.equal
-        assert result.integral == sum_interval_bruteforce(g, a, a + width)
