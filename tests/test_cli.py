@@ -206,8 +206,15 @@ class TestSmooth:
         assert f"between 2 and {MAX_SAMPLES}" in option_error(capsys)
         assert not csv_path.exists()
 
-    def test_logistic_is_no_shape(self, heavyside_file, tmp_path, capsys):
+    def test_logistic_requires_csv(self, heavyside_file, capsys):
         # Only the exact polynomial shapes remain: the logistic curve never met its ends.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["smooth", "--input", heavyside_file, "--shape", "logistic"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'logistic'" in capsys.readouterr().err
+
+    def test_logistic_with_csv(self, heavyside_file, tmp_path, capsys):
+        # A CSV does not bring the logistic shape back, and no file is written.
         csv_path = tmp_path / "s.csv"
         argv = ["smooth", "--input", heavyside_file, "--shape", "logistic", "--emit-csv", str(csv_path)]
         with pytest.raises(SystemExit) as excinfo:

@@ -13,6 +13,7 @@ from gossamer import (
     ClosedFormSum,
     Gossamer,
     Polynomial,
+    StepFunction,
     faulhaber,
     indefinite_sum,
     omega,
@@ -438,3 +439,16 @@ class TestPrefixSumsMatch:
         assert g._form is not None
         assert prefix_sums_match(g, point)
         assert [c for c in calls if c is g.coefficients] == [g.coefficients]
+
+
+class TestBridge:
+    @given(small_polys, st.integers(-10, 10), st.integers(0, 8))
+    def test_bridge_matches_sum(self, g, a, width):
+        # The paper's bridge from sum to integral: a step of height g(k) on
+        # (k, k + 1] for k = a..b has area sum_{k=a}^{b} g(k).
+        b = a + width
+        heights = [g.evaluate(Fraction(k)) for k in range(a, b + 1)]
+        step = StepFunction(range(a, b + 2), (0, *heights, 0))
+        area = step.area(a, b + 1)
+        assert sum_ftc(g, a, b).value == area
+        assert area == sum_interval_bruteforce(g, a, b)
