@@ -11,6 +11,9 @@ kept on it (``_integer_form``), or kept from construction when a closed
 form was built in integers (``_from_numerators``).  Such a polynomial
 builds its ``Fraction`` coefficients only when they are first read, so a
 closed form whose readers take the integer form alone builds none.
+A polynomial keeps the closed forms built from it in the same way: its
+certified sum G (``sums.indefinite_sum``) and Q_f's numerators at the last
+reach a Riemann sum asked for (``riemann.uniform_riemann_sum``).
 """
 from __future__ import annotations
 
@@ -59,16 +62,22 @@ class Polynomial:
     (``_integer_form``), or from construction (``_from_numerators``).
     ``_coefficients`` holds the ``Fraction``s, or None until the first read
     of ``coefficients`` when the polynomial was built from its form alone.
+    ``_sum`` holds the certified ``ClosedFormSum`` of this polynomial as a
+    term, once ``sums.indefinite_sum`` has built it; ``_width`` holds
+    ``(reach, L, numerators, beyond)``, Q_f's low coefficients at the last
+    reach ``riemann.uniform_riemann_sum`` asked for.  A polynomial is
+    immutable, so neither goes stale.  ``_sum.term`` is the polynomial
+    itself, a reference cycle that the cyclic garbage collector frees.
     """
 
-    __slots__ = ("_coefficients", "_form")
+    __slots__ = ("_coefficients", "_form", "_sum", "_width")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coefficients: Optional[tuple[Fraction, ...]] = tuple(coeffs)
-        self._form = None
+        self._form = self._sum = self._width = None
 
     @classmethod
     def _make(cls, coeffs: list) -> "Polynomial":
@@ -77,7 +86,7 @@ class Polynomial:
             coeffs.pop()
         value = object.__new__(cls)
         value._coefficients = tuple(coeffs)
-        value._form = None
+        value._form = value._sum = value._width = None
         return value
 
     @property
@@ -289,6 +298,7 @@ def _from_numerators(common: int, numerators: list) -> Polynomial:
     value = object.__new__(Polynomial)
     value._coefficients = None
     value._form = (common, tuple(numerators))
+    value._sum = value._width = None
     return value
 
 

@@ -12,9 +12,12 @@ integer) only the q_i whose term can reach nu's floor are built, with
 one bit for whether any higher one is nonzero, and Q_f(1/nu) is read off
 their numerators, by Horner's rule in the series of 1/nu when k != 0,
 with no series inverse and no ``Fraction`` coefficient: the output terms
-are the only ``Fraction``s built, and they reduce the numerators.  An integral of f(x/nu) is nu*F(x/nu)
-between its endpoints, F' = f, and whether one panel's is asymptotic to
-its sample is a test on two rationals.  A finite count n reads the full Q_f at 1/n.
+are the only ``Fraction``s built, and they reduce the numerators.  f keeps
+the numerators at the last reach asked for (``Polynomial._width``), so a
+Riemann sum of the same f at the same reach builds none.  An integral of
+f(x/nu) is nu*F(x/nu) between its endpoints, F' = f, and whether one
+panel's is asymptotic to its sample is a test on two rationals.  A finite
+count n reads the full Q_f at 1/n.
 """
 from __future__ import annotations
 
@@ -191,7 +194,9 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
     floor, with one bit saying whether any q_i above reach is nonzero.
     There 1/nu = t/(1 + k*t) with t = w^-e/c, and Q_f(1/nu) is Horner's
     rule over those integer numerators in the series of t cut at the
-    floor (``polynomial._at_reciprocal``).  Any other nu takes
+    floor (``polynomial._at_reciprocal``).  f keeps ``(reach, *numerators)``
+    (``f._width``) and reuses it at every nu of the same reach; a call at
+    another reach builds and keeps that one's.  Any other nu takes
     Horner's rule over ``nu.inverse()`` of the full Q_f.  Powers of 1/nu
     lead with negative exponents, so every term kept above the floor is
     exact.  ``conjecture_probe`` reads the full Q_f at 1/n for a finite n.
@@ -202,7 +207,10 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
     if form is None:
         value = _horner(_width_polynomial(f).coefficients, nu.inverse())
     else:
-        value = _at_reciprocal(*_width_numerators(f, form[-1]), nu, form)
+        reach, width = form[-1], f._width
+        if width is None or width[0] != reach:
+            width = f._width = (reach, *_width_numerators(f, reach))
+        value = _at_reciprocal(*width[1:], nu, form)
     return UniformRiemannSum(f, nu, value)
 
 

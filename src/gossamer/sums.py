@@ -13,6 +13,8 @@ those rows.  Each row keeps its numerators, so it pays its lcm once per
 process, and G is kept as the numerators it was built from, so the
 certificate and G at an endpoint take no lcm of G's again, and G's
 ``Fraction`` coefficients are built only if something reads them.
+g keeps its certified closed form once built (``Polynomial._sum``), so
+G is folded and certified once per g, however many intervals are summed.
 ``sum_ftc`` is the point difference G(b) - G(a - 1) for every pair of
 endpoints, finite or infinite.
 ``prefix_sums_match``, G against running totals at deg g + 2 points, is
@@ -94,8 +96,12 @@ def indefinite_sum(g: Polynomial) -> ClosedFormSum:
     for each nonzero numerator of the row.  ``_from_numerators`` puts L and
     the slots in lowest terms, which G keeps as its integer form, so the
     ``ClosedFormSum`` certificate and G at an endpoint take no lcm again and
-    build no ``Fraction`` of G's.
+    build no ``Fraction`` of G's.  The record is kept on g (``g._sum``) and
+    returned as it is by every later call with g; its ``term`` is g, a
+    reference cycle that the cyclic garbage collector frees.
     """
+    if g._sum is not None:
+        return g._sum
     rows = [(c, *_integer_form(faulhaber(degree)))
             for degree, c in enumerate(g.coefficients) if c]
     common = math.lcm(*[c.denominator * d for c, d, _ in rows])
@@ -105,7 +111,8 @@ def indefinite_sum(g: Polynomial) -> ClosedFormSum:
         for slot, n in enumerate(numerators):
             if n:
                 slots[slot] += scale * n
-    return ClosedFormSum(g, _from_numerators(common, slots))
+    g._sum = ClosedFormSum(g, _from_numerators(common, slots))
+    return g._sum
 
 
 def sum_at_point(s: ClosedFormSum, a: Endpoint):
@@ -151,11 +158,13 @@ class SumFtcResult(NamedTuple):
 
 
 def _endpoint(x: Endpoint) -> Gossamer:
-    """x as a series: an integer plus infinite terms (w + 1 is an endpoint, w + 1/2 is not)."""
+    """x as a series: an integer plus infinite terms (w + 1 is one; w + 1/2 and w^-1 are not)."""
     if not isinstance(x, Gossamer):
         x = Gossamer.from_rational(x)
-    if x.coefficient(0).denominator != 1 or any(e < 0 for e, _ in x.terms):
+    if x.coefficient(0).denominator != 1:
         raise ValueError(f"endpoint needs an integer finite part, got {x}")
+    if any(e < 0 for e, _ in x.terms):
+        raise ValueError(f"endpoint needs no infinitesimal term, got {x}")
     return x
 
 
@@ -167,7 +176,7 @@ def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     G's integer numerators (``Polynomial.evaluate``), so at a = 1 the
     lower value is the zero series.  The sum over a+1..b is G(b) - G(a), i.e.
     ``sum_at_point(s, b) - sum_at_point(s, a)``.  No oracle runs here;
-    construction certifies the closed form.
+    construction certifies the closed form, once per g (``indefinite_sum``).
     """
     a, b = _endpoint(a), _endpoint(b)
     if a.compare(b) > 0:

@@ -121,6 +121,11 @@ class TestSum:
         assert main(["sum", "--term", "k", "--from", "1", "--to", "w+1/2"]) == 2
         assert "integer finite part" in capsys.readouterr().err
 
+    def test_infinitesimal_term_is_usage(self, capsys):
+        # w^-1's finite part is the integer 0; the message names its w^-1 term.
+        assert main(["sum", "--term", "k", "--from", "1", "--to", "w^-1"]) == 2
+        assert "endpoint needs no infinitesimal term, got w^-1" in capsys.readouterr().err
+
     def test_empty_range_is_usage(self):
         assert main(["sum", "--term", "k", "--from", "5", "--to", "3"]) == 2
 

@@ -26,6 +26,7 @@ from gossamer import (
     riemann_limit,
     riemann_remainder,
     run_suite,
+    sum_ftc,
     uniform_riemann_sum,
 )
 from gossamer.core import _common_numerators
@@ -293,9 +294,35 @@ def test_a_callers_integrand_takes_its_lcm_once(monkeypatch):
     assert [c for c in calls if c is f.coefficients] == [f.coefficients]
 
 
+def test_width_numerators_are_built_once_per_reach(monkeypatch):
+    # f keeps Q_f's numerators at the last reach: two sums at w (reach 16)
+    # build them once, and a sum at w^2 (reach 8) builds them again.
+    calls = []
+
+    def counting(f, reach):
+        calls.append(reach)
+        return _width_numerators(f, reach)
+
+    monkeypatch.setattr(gossamer.riemann, "_width_numerators", counting)
+    f = Polynomial.parse("3/7*x^40 - 1/2*x^2 + 1/3")
+    for nu in (omega(), omega(), omega(2)):
+        uniform_riemann_sum(f, nu)
+    assert calls == [16, 8]
+
+
+@given(sparse_or_dense)
+def test_a_kept_width_gives_a_fresh_integrands_values(f):
+    # One f through every count twice, so the reach it keeps changes back
+    # and forth, against a fresh copy of f at each call.
+    for nu in [*COUNTS.values()] * 2:
+        kept = uniform_riemann_sum(f, nu).value
+        assert same_value(kept, uniform_riemann_sum(Polynomial(f.coefficients), nu).value)
+
+
 @given(sparse_or_dense)
 def test_power_sum_fold_reads_each_row_once_in_ascending_degree(f):
-    # perfbench's riemann.faulhaber_calls counts these calls: only G reads rows.
+    # perfbench's riemann.faulhaber_calls counts these calls: only G reads
+    # rows, once per f, which keeps G for every later interval.
     calls = []
 
     def counting_faulhaber(degree):
@@ -309,6 +336,8 @@ def test_power_sum_fold_reads_each_row_once_in_ascending_degree(f):
         patch.setattr(gossamer.sums, "faulhaber", counting_faulhaber)
         patch.setattr(gossamer.riemann, "faulhaber", no_row)
         indefinite_sum(f)
+        for a, b in ((1, 10), (3, omega()), (omega(), omega(2)), (-4, omega() + 1)):
+            sum_ftc(f, a, b)
         assert calls == [degree for degree, c in enumerate(f.coefficients) if c]
         uniform_riemann_sum(f)
         conjecture_probe(f, [Fraction(1, 3)], 4)

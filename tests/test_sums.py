@@ -256,14 +256,19 @@ class TestSumFtc:
             sum_ftc(K, 11, 10)
 
     def test_non_integer_endpoint_rejected(self):
-        for a, b in (
-            (Fraction(1, 2), 10),
-            (1, Gossamer.parse("w + 1/2")),  # infinite, but not an integer past w
-            (1, Gossamer.parse("w + w^-1")),
-            (Gossamer.parse("w^-1"), omega()),
+        # The message names the fault: w^-1's finite part is the integer 0,
+        # and its fault is the w^-1 term.
+        for a, b, fault in (
+            (Fraction(1, 2), 10, "an integer finite part, got 1/2"),
+            # infinite, but not an integer past w
+            (1, Gossamer.parse("w + 1/2"), "an integer finite part, got w + 1/2"),
+            (1, Gossamer.parse("w + w^-1"), "no infinitesimal term, got w + w^-1"),
+            (1, Gossamer.parse("w^-1"), "no infinitesimal term, got w^-1"),
+            (Gossamer.parse("w^-1"), omega(), "no infinitesimal term, got w^-1"),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as raised:
                 sum_ftc(K, a, b)
+            assert str(raised.value) == f"endpoint needs {fault}"
 
     @given(st.integers(1, 30))
     def test_infinite_endpoint_with_integer_finite_part(self, n):
@@ -383,6 +388,39 @@ class TestSumFtcMatchesPointValues:
         for value, (text, truncated) in zip(values, expected, strict=True):
             pinned = Gossamer(Gossamer.parse(text).terms, a.truncation_floor, truncated)
             assert same_value(value, pinned)
+
+
+def _as_series(x):
+    return x if isinstance(x, Gossamer) else Gossamer.from_rational(x)
+
+
+def _sum_or_error(g, a, b):
+    try:
+        return sum_ftc(g, a, b).value
+    except ValueError as error:
+        return str(error)
+
+
+class TestClosedFormKeptOnTheTerm:
+    """g keeps its certified closed form: one fold and one certificate per g."""
+
+    def test_indefinite_sum_is_built_once(self):
+        g = Polynomial.parse("3/7*k^5 - 1/2*k^2 + 1/3")
+        s = indefinite_sum(g)
+        assert indefinite_sum(g) is s
+        assert sum_ftc(g, 1, omega()).closed_form is s
+
+    @given(small_polys, st.lists(st.tuples(endpoints, endpoints), min_size=2, max_size=5))
+    def test_a_kept_form_gives_a_fresh_terms_values(self, g, pairs):
+        # Several intervals of one g against the same intervals of a fresh
+        # copy of g, which folds and certifies its own G; errors included.
+        for a, b in pairs:
+            if _as_series(a).compare(_as_series(b)) > 0:
+                a, b = b, a
+            kept = _sum_or_error(g, a, b)
+            fresh = _sum_or_error(Polynomial(g.coefficients), a, b)
+            assert type(kept) is type(fresh)
+            assert kept == fresh if isinstance(kept, str) else same_value(kept, fresh)
 
 
 class TestPrefixSumsMatch:
