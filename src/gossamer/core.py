@@ -319,14 +319,14 @@ class Gossamer:
             return -self
         return self
 
-    def inverse(self, order: Optional[int] = None) -> "Gossamer":
+    def inverse(self) -> "Gossamer":
         """Multiplicative inverse by geometric expansion.
 
         Writes the value as ``c*w^e*(1 + u)`` with ``u`` carrying only
         negative relative exponents and returns
-        ``(1/c)*w^-e * sum_{i=0}^{order} (-u)^i``.  With ``order=None``
-        the expansion runs until the dropped tail sits below the
-        truncation floor, so for leading exponent e <= 0 the product
+        ``(1/c)*w^-e * sum_{i=0}^{order} (-u)^i``.  The order comes from
+        the floor: the expansion runs until the dropped tail sits below
+        the truncation floor, so for leading exponent e <= 0 the product
         ``a * a.inverse()`` is exactly 1 after flooring.  For infinite
         values (e > 0) the cancellation terms would live below the floor
         and cannot be stored, so the product's residue is only
@@ -349,9 +349,8 @@ class Gossamer:
                 floor=self.truncation_floor,
                 truncated=self.truncated or u.truncated,
             )
-        if order is None:
-            gap = u.terms[0][0]  # < 0: the slowest-decaying part of u
-            order = max(0, math.floor(floor_rel / gap))
+        gap = u.terms[0][0]  # < 0: the slowest-decaying part of u
+        order = max(0, math.floor(floor_rel / gap))
         geometric = Gossamer(((0, 1),), floor=floor_rel)
         power = geometric
         minus_u = -u

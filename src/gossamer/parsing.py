@@ -82,8 +82,11 @@ def match_term(chunk: str, position: int) -> tuple[Fraction, Optional[str], Frac
         raise ParseError("expected a symbol before '^'", position)
     if m.group("star") and (m.group("coeff") is None or m.group("symbol") is None):
         raise ParseError("expected '*' to join a coefficient and a symbol", position)
-    coeff = Fraction(m.group("coeff").replace(" ", "")) if m.group("coeff") else Fraction(1)
-    exponent = Fraction(m.group("exp") or (1 if m.group("symbol") else 0))
+    try:
+        coeff = Fraction(m.group("coeff").replace(" ", "")) if m.group("coeff") else Fraction(1)
+        exponent = Fraction(m.group("exp") or (1 if m.group("symbol") else 0))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {chunk!r}", position) from None
     return (-coeff if m.group("sign") == "-" else coeff), m.group("symbol"), exponent
 
 

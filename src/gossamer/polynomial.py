@@ -12,8 +12,8 @@ form was built in integers (``_from_numerators``).  Such a polynomial
 builds its ``Fraction`` coefficients only when they are first read, so a
 closed form whose readers take the integer form alone builds none.
 A polynomial keeps the closed forms built from it in the same way: its
-certified sum G (``sums.indefinite_sum``) and Q_f's numerators at the last
-reach a Riemann sum asked for (``riemann.uniform_riemann_sum``).
+certified sum G (``sums.indefinite_sum``) and its Euler-Maclaurin
+polynomial Q_f, whole (``riemann.uniform_riemann_sum``).
 """
 from __future__ import annotations
 
@@ -63,11 +63,12 @@ class Polynomial:
     ``_coefficients`` holds the ``Fraction``s, or None until the first read
     of ``coefficients`` when the polynomial was built from its form alone.
     ``_sum`` holds the certified ``ClosedFormSum`` of this polynomial as a
-    term, once ``sums.indefinite_sum`` has built it; ``_width`` holds
-    ``(reach, L, numerators, beyond)``, Q_f's low coefficients at the last
-    reach ``riemann.uniform_riemann_sum`` asked for.  A polynomial is
-    immutable, so neither goes stale.  ``_sum.term`` is the polynomial
-    itself, a reference cycle that the cyclic garbage collector frees.
+    term, once ``sums.indefinite_sum`` has built it; ``_width`` holds Q_f,
+    this polynomial's Euler-Maclaurin polynomial in the panel width, in
+    integer form, once a Riemann sum has built it
+    (``riemann._width_polynomial``).  A polynomial is immutable, so neither
+    goes stale.  ``_sum.term`` is the polynomial itself, a reference cycle
+    that the cyclic garbage collector frees.
     """
 
     __slots__ = ("_coefficients", "_form", "_sum", "_width")
@@ -375,50 +376,34 @@ def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, com
     return terms
 
 
-def _reciprocal_form(nu: Gossamer):
-    """``(e, c, k, reach)`` when the infinite nu is c*w^e + k, k an integer, else None.
+def _at_reciprocal(q: Polynomial, nu: Gossamer, e, c: Fraction, k: int) -> Gossamer:
+    """q(1/nu) for nu = c*w^e + k, e > 0 and k an integer, as Horner's rule over ``nu.inverse()``.
 
-    1/nu's powers then lead at w^(-i*e), so reach = floor(-floor/e), with
-    nu's floor, is the last degree i of a polynomial in 1/nu that can reach
-    that floor (below 0 at a positive floor).
+    1/nu's powers lead at w^(-i*e), so only q_0..q_r can reach nu's floor,
+    r = floor(-floor/e).  At k = 0, 1/nu = w^-e/c is a monomial and q(1/nu)
+    is q relabelled there (``_relabel``), the same terms, floor and flag;
+    so it is when q_1..q_r are all zero, as every power of 1/nu starts at
+    w^-e.  Otherwise 1/nu = u = t/(1 + k*t), t = w^-e/c, a never-ending,
+    so truncated, series in t, and q(u) is Horner's rule over q's integer
+    numerators in the series of t cut after t^r: times u is a shift by one
+    power of t, then a division by 1 + k*t, each term less k times the one
+    before.
     """
-    form = _monomial_plus_integer(nu.terms)
-    if form is None:
-        return None
-    e, floor = form[0], nu.truncation_floor
-    return (*form, -floor.numerator * e.denominator // (floor.denominator * e.numerator))
-
-
-def _at_reciprocal(
-    common: int, numerators: Sequence[int], beyond: bool, nu: Gossamer, form: tuple
-) -> Gossamer:
-    """q(1/nu) for nu = c*w^e + k, form ``(e, c, k, reach)`` from ``_reciprocal_form``.
-
-    Only q's low coefficients are read: ``numerators`` are q_0..q_r over
-    their lcm ``common``, r = min(reach, deg q), and ``beyond`` says
-    whether any q_i with i > r is nonzero.  At k = 0, 1/nu = w^-e/c and
-    term i is q_i*c^-i at w^(-i*e); so it is when q_1..q_r are all zero,
-    as every power of 1/nu starts at w^-e.  Otherwise 1/nu = u = t/(1 + k*t),
-    t = w^-e/c, a never-ending, so truncated, series in t, and q(u) is
-    Horner's rule over the integer numerators in the series of t cut after
-    t^reach: times u is a shift by one power of t, then a division by
-    1 + k*t, each term less k times the one before.  Either way the value
-    keeps the terms, floor and flag of Horner's rule over ``nu.inverse()``.
-    """
-    e, c, k, reach = form
-    floor = nu.truncation_floor
-    over_c = c.denominator, c.numerator  # 1/c, its sign carried by the denominator
-    powers = any(numerators[1:])  # a kept q_i, i >= 1, is nonzero
-    if not k or not powers:
-        terms = _terms(numerators, 0, len(numerators) - 1, -e, *over_c, common)
-        return Gossamer._make(tuple(terms), floor, beyond or (nu.truncated and powers))
-    sums = [0] * (reach + 1)
-    for q in reversed(numerators):
-        below, sums[0] = sums[0], 0
-        for m in range(1, reach + 1):
-            below, sums[m] = sums[m], below - k * sums[m - 1]
-        sums[0] = q
-    return Gossamer._make(tuple(_terms(sums, 0, reach, -e, *over_c, common)), floor, True)
+    if k:
+        # The constant k sits at or above nu's floor, so the floor is <= 0 and r >= 0.
+        floor = nu.truncation_floor
+        reach = -floor.numerator * e.denominator // (floor.denominator * e.numerator)
+        common, numerators = _integer_form(q)
+        if any(numerators[1 : reach + 1]):
+            sums = [0] * (reach + 1)
+            for n in reversed(numerators[: reach + 1]):
+                below, sums[0] = sums[0], 0
+                for m in range(1, reach + 1):
+                    below, sums[m] = sums[m], below - k * sums[m - 1]
+                sums[0] = n
+            terms = _terms(sums, 0, reach, -e, c.denominator, c.numerator, common)
+            return Gossamer._make(tuple(terms), floor, True)
+    return _relabel(q, nu, -e, Fraction(c.denominator, c.numerator), 0)
 
 
 def _at_rational(p: Polynomial, q: Fraction) -> Fraction:

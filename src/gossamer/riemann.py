@@ -3,21 +3,19 @@
 The sum over j of f(j/nu)*(1/nu) is never iterated: it is one rational
 polynomial Q_f in the panel width 1/nu, the Euler-Maclaurin form,
 evaluated once at 1/nu; its standard part, Q_f(0), is the integral and
-its lower-order terms the remainder.  Q_f's coefficients come, as integer
-numerators over one common denominator, from one pass over f's nonzero
-coefficients and a row of Bernoulli weights B_i/i over one lcm, cached
-per reach; the Bernoulli numbers solve their defining recurrence, and the
+its lower-order terms the remainder.  Q_f belongs to f alone: its
+coefficients come, as integer numerators over one common denominator,
+from one pass over f's nonzero coefficients and a row of Bernoulli
+weights B_i/i over one lcm, one row per degree, and f keeps Q_f
+(``Polynomial._width``), so every later sum of f, at any count, builds
+none.  The Bernoulli numbers solve their defining recurrence, and the
 ``faulhaber`` rows serve the sums module.  At nu = c*w^e + k (k an
-integer) only the q_i whose term can reach nu's floor are built, with
-one bit for whether any higher one is nonzero, and Q_f(1/nu) is read off
-their numerators, by Horner's rule in the series of 1/nu when k != 0,
-with no series inverse and no ``Fraction`` coefficient: the output terms
-are the only ``Fraction``s built, and they reduce the numerators.  f keeps
-the numerators at the last reach asked for (``Polynomial._width``), so a
-Riemann sum of the same f at the same reach builds none.  An integral of
-f(x/nu) is nu*F(x/nu) between its endpoints, F' = f, and whether one
-panel's is asymptotic to its sample is a test on two rationals.  A finite
-count n reads the full Q_f at 1/n.
+integer) Q_f(1/nu) is read off Q_f's numerators, relabelled when 1/nu is
+a monomial and by Horner's rule in the series of 1/nu otherwise, with no
+series inverse; any other nu takes Horner's rule over ``nu.inverse()``.
+An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f, and
+whether one panel's is asymptotic to its sample is a test on two
+rationals.  A finite count n reads the same Q_f at 1/n.
 """
 from __future__ import annotations
 
@@ -40,7 +38,7 @@ from .polynomial import (
     _from_numerators,
     _horner,
     _integer_form,
-    _reciprocal_form,
+    _monomial_plus_integer,
 )
 
 __all__ = [
@@ -81,7 +79,8 @@ def _bernoulli_weights(top: int) -> tuple:
     """``(R, weights)``: the weights B_i/i, i = 1..top, as integers over R, cached per top.
 
     R is the lcm of i*den(B_i) over the nonzero B_i, and weight i is
-    B_i/i*R, so q_i = weight_i*s_i/(R*M) in ``_width_numerators``.
+    B_i/i*R, so q_i = weight_i*s_i/(R*M) in ``_width_polynomial``; top is
+    the degree of f, so the cache holds one row per degree.
     """
     bernoulli = [bernoulli_number(i) for i in range(1, top + 1)]
     scale = math.lcm(*[b.denominator * i for i, b in enumerate(bernoulli, 1) if b])
@@ -131,8 +130,8 @@ def _inverse(nu: Gossamer) -> Gossamer:
     return Gossamer(nu.terms, floor=deep, truncated=nu.truncated).inverse()
 
 
-def _width_numerators(f: Polynomial, reach: int) -> tuple:
-    """Q_f's low coefficients in integers: ``(L, numerators, beyond)``.
+def _width_polynomial(f: Polynomial) -> Polynomial:
+    """Q_f, built once per f and kept on it (``f._width``), in integer form.
 
     Q_f is the Euler-Maclaurin polynomial of f in the panel width:
     q_0 = integral_0^1 f and, for i >= 1,
@@ -140,47 +139,26 @@ def _width_numerators(f: Polynomial, reach: int) -> tuple:
     s_i = sum_{d >= i} a_d*C(d, i-1) over f's numerators a_d and their lcm
     M; q_0 = s_0/(S*M), s_0 = sum_d a_d*S/(d + 1), S the lcm of the d + 1.
     f is read through its integer form (``_integer_form``), skipping its
-    zero numerators: f keeps that form once taken, so a sparse f pays its
-    degree in its first read and its terms alone after.  The weights
-    B_i/i, i = 1..r, r = min(reach, deg f), come as integers over their lcm
-    R from a row cached per r (``_bernoulli_weights``); q_0..q_r go over
-    one common denominator L, and the s_i of a zero weight (odd i >= 3,
-    where B_i = 0) are not summed.  L is common to the q_i but not their lcm: the numerators are
-    not reduced, as the ``Fraction``s built from them reduce each term.
-    Above r, ``beyond`` says whether any q_i is nonzero: s_i is summed
-    from the top down to the first nonzero one, skipping the zero
-    weights, and down to s_0 when r < 0.  The weight row is keyed by r
-    alone.
+    zero numerators.  The weights B_i/i, i = 1..deg f, come as integers
+    over their lcm R (``_bernoulli_weights``); q_0..q_deg f go over one
+    common denominator, and the s_i of a zero weight (odd i >= 3, where
+    B_i = 0) are not summed.  Q_f keeps those numerators as its integer
+    form (``_from_numerators``), so a reader of the form builds no
+    ``Fraction``.
     """
-    common, numerators = _integer_form(f)
-    terms = [(d, a) for d, a in enumerate(numerators) if a]
-    spans = math.lcm(*[d + 1 for d, _ in terms])
-    degree = terms[-1][0] if terms else -1
-    top = min(reach, degree)
-    beyond = False
-    for i in range(degree, max(top, -1), -1):
-        if i > 2 and i % 2:
-            continue
-        if i:
-            s = sum([a * math.comb(d, i - 1) for d, a in terms if d >= i])
-        else:
-            s = sum([a * (spans // (d + 1)) for d, a in terms])
-        if s:
-            beyond = True
-            break
-    weight_scale, weights = _bernoulli_weights(top)
-    scale = math.lcm(spans, weight_scale)
-    q = [sum([a * (scale // (d + 1)) for d, a in terms])] if top >= 0 else []
-    lift = scale // weight_scale
-    for i, w in enumerate(weights, 1):
-        q.append(w * lift * sum([a * math.comb(d, i - 1) for d, a in terms if d >= i]) if w else 0)
-    return scale * common, q, beyond
-
-
-def _width_polynomial(f: Polynomial) -> Polynomial:
-    """Q_f in full, as a ``Polynomial`` keeping its integer form in lowest terms."""
-    common, numerators, _ = _width_numerators(f, f.degree)
-    return _from_numerators(common, numerators)
+    width = f._width
+    if width is None:
+        common, numerators = _integer_form(f)
+        terms = [(d, a) for d, a in enumerate(numerators) if a]
+        spans = math.lcm(*[d + 1 for d, _ in terms])
+        weight_scale, weights = _bernoulli_weights(len(numerators) - 1)
+        scale = math.lcm(spans, weight_scale)
+        q = [sum([a * (scale // (d + 1)) for d, a in terms])]
+        lift = scale // weight_scale
+        for i, w in enumerate(weights, 1):
+            q.append(w * lift * sum([a * math.comb(d, i - 1) for d, a in terms if d >= i]) if w else 0)
+        width = f._width = _from_numerators(scale * common, q)
+    return width
 
 
 def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> UniformRiemannSum:
@@ -188,29 +166,21 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
 
     Q_f is the Euler-Maclaurin polynomial: q_0 is the integral of f over
     [0, 1] and q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)), B_1 = +1/2, built
-    in integers from f's numerators over one lcm (``_width_numerators``).
-    At nu = c*w^e + k, k an integer, q_i's term lies at w^(-i*e) or below,
-    so only q_0..q_reach are built, reach = floor(-floor/e) with nu's
-    floor, with one bit saying whether any q_i above reach is nonzero.
-    There 1/nu = t/(1 + k*t) with t = w^-e/c, and Q_f(1/nu) is Horner's
-    rule over those integer numerators in the series of t cut at the
-    floor (``polynomial._at_reciprocal``).  f keeps ``(reach, *numerators)``
-    (``f._width``) and reuses it at every nu of the same reach; a call at
-    another reach builds and keeps that one's.  Any other nu takes
-    Horner's rule over ``nu.inverse()`` of the full Q_f.  Powers of 1/nu
-    lead with negative exponents, so every term kept above the floor is
-    exact.  ``conjecture_probe`` reads the full Q_f at 1/n for a finite n.
+    once per f in integers and kept on it (``_width_polynomial``).  At
+    nu = c*w^e + k, k an integer, Q_f(1/nu) is read off Q_f's numerators
+    with no series inverse (``polynomial._at_reciprocal``); any other nu
+    takes Horner's rule over ``nu.inverse()``.  Powers of 1/nu lead with
+    negative exponents, so every term kept above the floor is exact.
+    ``conjecture_probe`` reads the same Q_f at 1/n for a finite n.
     """
     nu = omega() if nu is None else nu
     _require_infinite(nu)
-    form = _reciprocal_form(nu)
+    q = _width_polynomial(f)
+    form = _monomial_plus_integer(nu.terms)
     if form is None:
-        value = _horner(_width_polynomial(f).coefficients, nu.inverse())
+        value = _horner(q.coefficients, nu.inverse())
     else:
-        reach, width = form[-1], f._width
-        if width is None or width[0] != reach:
-            width = f._width = (reach, *_width_numerators(f, reach))
-        value = _at_reciprocal(*width[1:], nu, form)
+        value = _at_reciprocal(q, nu, *form)
     return UniformRiemannSum(f, nu, value)
 
 

@@ -13,8 +13,6 @@ from gossamer import (
     indefinite_sum,
     sum_at_point,
 )
-from gossamer.core import _common_numerators, _lowest_terms
-from gossamer.riemann import _bernoulli_weights
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -37,17 +35,6 @@ sparse_or_dense = st.one_of(
     polynomials,
     st.dictionaries(
         st.integers(0, 81),
-        st.builds(Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 6, 30, 2730])),
-        max_size=4,
-    ).map(lambda c: Polynomial([c.get(d, 0) for d in range(max(c, default=-1) + 1)])),
-)
-
-
-# Dense polynomials up to degree 100, and sparse ones of up to four terms there.
-wide_polynomials = st.one_of(
-    st.lists(small_rationals, max_size=101).map(Polynomial),
-    st.dictionaries(
-        st.integers(0, 100),
         st.builds(Fraction, st.integers(-30, 30).filter(bool), st.sampled_from([1, 6, 30, 2730])),
         max_size=4,
     ).map(lambda c: Polynomial([c.get(d, 0) for d in range(max(c, default=-1) + 1)])),
@@ -104,33 +91,6 @@ def euler_maclaurin_polynomial(f):
         q.append(bernoulli_number(i) / math.factorial(i) * jump)
         derivative = derivative.derivative()
     return Polynomial(q)
-
-
-def reference_width_numerators(f, reach):
-    """Q_f's low coefficients ``(L, numerators, beyond)`` as a moment closure over every slot of f.
-
-    The same Euler-Maclaurin numerators as ``riemann._width_numerators``,
-    summed by generators over f's dense numerators and reduced by one gcd.
-    """
-    common, numerators = _common_numerators(f.coefficients)
-    terms = [(d, a) for d, a in enumerate(numerators) if a]
-    spans = math.lcm(*[d + 1 for d, _ in terms])
-
-    def moment(i):
-        if i == 0:
-            return sum(a * (spans // (d + 1)) for d, a in terms)
-        if i > 2 and i % 2:
-            return 0
-        return sum(a * math.comb(d, i - 1) for d, a in terms if d >= i)
-
-    top = min(reach, len(numerators) - 1)
-    beyond = any(moment(i) for i in range(len(numerators) - 1, max(top, -1), -1))
-    weight_scale, weights = _bernoulli_weights(top)
-    scale = math.lcm(spans, weight_scale)
-    q = [moment(0) * (scale // spans)] if top >= 0 else []
-    lift = scale // weight_scale
-    q += [w * moment(i) * lift for i, w in enumerate(weights, 1)]
-    return (*_lowest_terms(scale * common, q), beyond)
 
 
 def point_polynomial(g):

@@ -142,6 +142,29 @@ class TestSum:
         assert "value = 333333833333500000; oracle match = true" in out
 
 
+# (argv, message): a zero denominator in a coefficient or an exponent is
+# malformed input, whether the subcommand or argparse reads the term.
+ZERO_DENOMINATORS = [
+    (["riemann", "--poly=1/0*x"], "error: zero denominator in '1/0*x' at position 0"),
+    (["riemann", "--poly=x^1/0"], "error: zero denominator in 'x^1/0' at position 0"),
+    (["sum", "--term=1/0", "--from=1", "--to=3"], "error: zero denominator in '1/0' at position 0"),
+    (
+        ["sum", "--term=k", "--from=1", "--to=w^1/0"],
+        "error: argument --to: zero denominator in 'w^1/0' at position 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", ZERO_DENOMINATORS, ids=[" ".join(a) for a, _ in ZERO_DENOMINATORS])
+def test_zero_denominator_is_usage(argv, message, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reads --to
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+
+
 class TestSmooth:
     def test_demo_example(self, heavyside_file, capsys):
         assert main(["smooth", "--input", heavyside_file, "--shape", "linear", "--eps-exp", "-1"]) == 0

@@ -84,20 +84,21 @@ class TestMul:
 
 class TestInverse:
     def test_geometric_expansion_multiply_back(self):
-        # Oracle: the product with the original must telescope to 1 - w^-5.
-        inv = (1 - H).inverse(4)
+        # At floor -4 the expansion stops at w^-4.  Oracle: its terms times
+        # 1 - w^-1, at the default floor, telescope to 1 - w^-5.
+        inv = (1 - omega(-1, floor=-4)).inverse()
         assert inv == g("1 + w^-1 + w^-2 + w^-3 + w^-4")
-        assert inv.truncated
-        assert (1 - H) * inv == 1 - omega(-5)
+        assert inv.truncated and inv.truncation_floor == -4
+        assert (1 - H) * Gossamer(inv.terms) == 1 - omega(-5)
 
     def test_rational_is_exact(self):
-        inv = Gossamer.from_rational(2).inverse(7)
+        inv = Gossamer.from_rational(2).inverse()
         assert inv == Fraction(1, 2)
         assert not inv.truncated
 
     def test_theta_expansion(self):
-        # h/(1-h) = h + h^2 + h^3 + ...
-        theta = H * (1 - H).inverse(3)
+        # h/(1-h) = h + h^2 + h^3 + ..., here cut at the floor -4.
+        theta = H * (1 - omega(-1, floor=-4)).inverse()
         assert theta == g("w^-1 + w^-2 + w^-3 + w^-4")
         assert theta.truncated
 
@@ -233,7 +234,7 @@ class TestBoundedSeriesSum:
         assert total.classify() is Kind.INFINITESIMAL
         # beta = max |a_k| = 3 and theta = h/(1-h); compare against the
         # truncated expansion theta = w^-2 + w^-4 + ...
-        theta = omega(-2) * (1 - omega(-2)).inverse(2)
+        theta = omega(-2) * (1 - omega(-2, floor=-6)).inverse()
         assert abs(total).compare(3 * theta) < 0
 
     def test_non_infinitesimal_rejected(self):

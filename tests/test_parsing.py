@@ -35,6 +35,11 @@ PARSE_ERRORS = [
     (Gossamer, "*w", "expected '*' to join a coefficient and a symbol", 0),
     (Gossamer, "", "empty expression", 0),
     (Polynomial, "   ", "empty expression", 0),
+    (Polynomial, "1/0*x", "zero denominator in '1/0*x'", 0),
+    (Polynomial, "x^1/0", "zero denominator in 'x^1/0'", 0),
+    (Polynomial, "x + 3 / 00", "zero denominator in '3 / 00'", 4),
+    (Gossamer, "1/0", "zero denominator in '1/0'", 0),
+    (Gossamer, "w - w^1/0", "zero denominator in 'w^1/0'", 4),
 ]
 
 

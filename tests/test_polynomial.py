@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gossamer import (
@@ -22,8 +22,7 @@ from gossamer.polynomial import (
     _at_reciprocal,
     _from_numerators,
     _horner,
-    _integer_form,
-    _reciprocal_form,
+    _monomial_plus_integer,
 )
 from strategies import polynomials, rationals, same_value
 
@@ -156,13 +155,11 @@ reciprocal_floors = st.sampled_from([-16, -9, Fraction(-7, 2), -1, 0, 2])
 
 
 def read_at_reciprocal(q, nu):
-    """q(1/nu) from q's numerators up to the reach and the bit above it; Horner off the form."""
-    form = _reciprocal_form(nu)
+    """q(1/nu) off q's numerators at nu = c*w^e + k; Horner off that form."""
+    form = _monomial_plus_integer(nu.terms)
     if form is None:
         return _horner(q.coefficients, nu.inverse())
-    common, numerators = _integer_form(q)
-    low = max(min(form[-1], q.degree) + 1, 0)
-    return _at_reciprocal(common, numerators[:low], any(numerators[low:]), nu, form)
+    return _at_reciprocal(q, nu, *form)
 
 
 @given(
@@ -174,6 +171,13 @@ def read_at_reciprocal(q, nu):
     reciprocal_floors,
     st.booleans(),
 )
+# The hand-off to the relabelling at k != 0, as q_1..q_r are all zero: x^17
+# at w + 1 reads as a truncated zero (r = 16), and at w^17 + 1 the reach is 0.
+# x^16 at w + 1 has q_r != 0, so it keeps the recurrence and its flag.
+@example(Polynomial.monomial(17), 1, 1, 1, None, -16, False)
+@example(Polynomial.monomial(16), 1, 1, 1, None, -16, False)
+@example(Polynomial.parse("2*x^3 - x + 5/3"), 17, 1, 1, None, -16, False)
+@example(Polynomial.parse("2*x^3 - x + 5/3"), 17, Fraction(-2, 3), -3, None, -16, True)
 def test_reciprocal_relabelling_matches_horner(q, e, c, k, s, floor, truncated):
     # At floor 2 the constant k, and w^e for e < 2, drop from nu itself.
     second = () if s is None else ((s * e, 1),)

@@ -31,18 +31,16 @@ from gossamer import (
 )
 from gossamer.core import _common_numerators
 from gossamer.polynomial import _horner, _integer_form
-from gossamer.riemann import _width_numerators, _width_polynomial
+from gossamer.riemann import _bernoulli_weights, _width_polynomial
 from strategies import (
     euler_maclaurin_polynomial,
     panel_polynomials,
     panel_reference,
     point_polynomial,
     polynomials,
-    reference_width_numerators,
     same_value,
     small_rationals,
     sparse_or_dense,
-    wide_polynomials,
     width_polynomial,
 )
 
@@ -252,35 +250,9 @@ def test_power_sum_fold_matches_both_oracles(f):
         assert _integer_form(p) == (common, tuple(numerators))
 
 
-@st.composite
-def polynomials_and_reaches(draw):
-    f = draw(wide_polynomials)
-    return f, draw(st.integers(-2, f.degree + 2))
-
-
-@given(polynomials_and_reaches())
-@example((Polynomial(), 2))
-@example((Polynomial(), -2))
-@example((Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x"), -1))  # Q_f = 0: nothing beyond, even q_0
-@example((Polynomial.parse("x - 1/2"), -1))  # q_0 = 0 but q_1 is not
-@example((Polynomial.monomial(17), 16))  # q_17 = 0 above the reach
-@example((Polynomial.monomial(18), 16))
-def test_width_numerators_match_the_reference(case):
-    # The one-pass read of f's nonzero terms against the moment closure over
-    # every slot: the same q_i as fractions (the numerators are not reduced)
-    # and the same bit for the q_i above the reach.
-    f, reach = case
-    common, numerators, beyond = _width_numerators(f, reach)
-    expected_common, expected, expected_beyond = reference_width_numerators(f, reach)
-    assert [Fraction(n, common) for n in numerators] == [
-        Fraction(n, expected_common) for n in expected
-    ]
-    assert beyond is expected_beyond
-
-
 def test_a_callers_integrand_takes_its_lcm_once(monkeypatch):
     # f keeps the integer form its first Riemann sum takes, so a second one,
-    # at another count and reach, takes no lcm of f's again.
+    # at another count, takes no lcm of f's again.
     calls = []
 
     def counting(coefficients):
@@ -294,26 +266,27 @@ def test_a_callers_integrand_takes_its_lcm_once(monkeypatch):
     assert [c for c in calls if c is f.coefficients] == [f.coefficients]
 
 
-def test_width_numerators_are_built_once_per_reach(monkeypatch):
-    # f keeps Q_f's numerators at the last reach: two sums at w (reach 16)
-    # build them once, and a sum at w^2 (reach 8) builds them again.
+def test_width_polynomial_is_built_once_per_integrand(monkeypatch):
+    # f keeps Q_f whole: sums at w, w, w^2, w^1/2 and w + 1 build it once,
+    # from the one weight row of f's degree.
     calls = []
 
-    def counting(f, reach):
-        calls.append(reach)
-        return _width_numerators(f, reach)
+    def counting(top):
+        calls.append(top)
+        return _bernoulli_weights(top)
 
-    monkeypatch.setattr(gossamer.riemann, "_width_numerators", counting)
+    monkeypatch.setattr(gossamer.riemann, "_bernoulli_weights", counting)
     f = Polynomial.parse("3/7*x^40 - 1/2*x^2 + 1/3")
-    for nu in (omega(), omega(), omega(2)):
+    for nu in (omega(), omega(), omega(2), omega(Fraction(1, 2)), omega() + 1):
         uniform_riemann_sum(f, nu)
-    assert calls == [16, 8]
+    assert calls == [40]
+    assert _width_polynomial(f) is f._width
 
 
 @given(sparse_or_dense)
 def test_a_kept_width_gives_a_fresh_integrands_values(f):
-    # One f through every count twice, so the reach it keeps changes back
-    # and forth, against a fresh copy of f at each call.
+    # One f through every count twice, each read off the one Q_f it keeps,
+    # against a fresh copy of f at each call.
     for nu in [*COUNTS.values()] * 2:
         kept = uniform_riemann_sum(f, nu).value
         assert same_value(kept, uniform_riemann_sum(Polynomial(f.coefficients), nu).value)
@@ -374,10 +347,10 @@ class TestReciprocalRead:
         q = width_polynomial(f)
         assert same_value(uniform_riemann_sum(f, nu).value, _horner(q.coefficients, nu.inverse()))
 
-    # (f, nu, flagged): where Q_f is cut at the reach.  Q_f's degree cannot be
-    # read off deg f: it is 0 or a constant for the cubic below, and x^17
-    # has q_17 = B_17*17/17 = 0 above the reach 16 at w, where x^18 has
-    # q_18 = B_18 != 0.
+    # (f, nu, flagged): where the read of Q_f stops at the reach.  Q_f's
+    # degree cannot be read off deg f: it is 0 or a constant for the cubic
+    # below, and x^17 has q_17 = B_17*17/17 = 0 above the reach 16 at w,
+    # where x^18 has q_18 = B_18 != 0.
     REACH_EDGES = {
         "zero-Q-at-w+1": (Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x"), omega() + 1, False),
         "zero-Q-at-w": (Polynomial.parse("x^3 - 3/2*x^2 + 1/2*x"), omega(), False),
