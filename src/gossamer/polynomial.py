@@ -319,7 +319,7 @@ def _taylor_shift(numerators: Sequence[int], k: int) -> Sequence[int]:
 
 
 def _monomial_plus_integer(terms: tuple):
-    """``(e, c, k)`` when the terms are c*w^e + k with e != 0 and k an integer, else None."""
+    """``(e, cn, cd, k)`` when the terms are (cn/cd)*w^e + k, e != 0 and k an integer, else None."""
     if len(terms) == 1:
         (e, c), k = terms[0], 0
     elif len(terms) == 2 and 0 in (terms[0][0], terms[1][0]):
@@ -329,11 +329,11 @@ def _monomial_plus_integer(terms: tuple):
         k = k.numerator
     else:
         return None
-    return (e, c, k) if e else None
+    return (e, c.numerator, c.denominator, k) if e else None
 
 
-def _relabel(p: Polynomial, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
-    """p(x) for x = c*w^e + k: term j of p(y + k) times c^j, at exponent j*e.
+def _relabel(p: Polynomial, x: Gossamer, e, cn: int, cd: int, k: int) -> Gossamer:
+    """p(x) for x = (cn/cd)*w^e + k: term j of p(y + k) times (cn/cd)^j, at exponent j*e.
 
     Horner's rule over the same x keeps exactly the terms at or above x's
     floor, drops the rest with the flag, and is truncated when x is and p
@@ -354,7 +354,7 @@ def _relabel(p: Polynomial, x: Gossamer, e, c: Fraction, k: int) -> Gossamer:
     else:
         lo, hi = max(0, -(-n // d)), top
     dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
-    terms = _terms(shifted, lo, hi, e, c.numerator, c.denominator, common)
+    terms = _terms(shifted, lo, hi, e, cn, cd, common)
     if e > 0:
         terms.reverse()
     return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
@@ -376,14 +376,16 @@ def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, com
     return terms
 
 
-def _at_reciprocal(q: Polynomial, nu: Gossamer, e, c: Fraction, k: int) -> Gossamer:
-    """q(1/nu) for nu = c*w^e + k, e > 0 and k an integer, as Horner's rule over ``nu.inverse()``.
+def _at_reciprocal(q: Polynomial, nu: Gossamer, e, cn: int, cd: int, k: int) -> Gossamer:
+    """q(1/nu) for nu = (cn/cd)*w^e + k, e > 0 and k an integer, with no series inverse.
 
-    1/nu's powers lead at w^(-i*e), so only q_0..q_r can reach nu's floor,
-    r = floor(-floor/e).  At k = 0, 1/nu = w^-e/c is a monomial and q(1/nu)
-    is q relabelled there (``_relabel``), the same terms, floor and flag;
-    so it is when q_1..q_r are all zero, as every power of 1/nu starts at
-    w^-e.  Otherwise 1/nu = u = t/(1 + k*t), t = w^-e/c, a never-ending,
+    The value keeps the terms, floor and flag of Horner's rule over
+    ``nu.inverse()``.  1/nu's powers lead at w^(-i*e), so only q_0..q_r
+    can reach nu's floor, r = floor(-floor/e).  At k = 0, 1/nu = w^-e/c,
+    c = cn/cd, is a monomial and q(1/nu) is q relabelled there
+    (``_relabel``, its scale cd/cn with the sign on cn); so it is when
+    q_1..q_r are all zero, as every power of 1/nu starts at w^-e.
+    Otherwise 1/nu = u = t/(1 + k*t), t = w^-e/c, a never-ending,
     so truncated, series in t, and q(u) is Horner's rule over q's integer
     numerators in the series of t cut after t^r: times u is a shift by one
     power of t, then a division by 1 + k*t, each term less k times the one
@@ -401,9 +403,9 @@ def _at_reciprocal(q: Polynomial, nu: Gossamer, e, c: Fraction, k: int) -> Gossa
                 for m in range(1, reach + 1):
                     below, sums[m] = sums[m], below - k * sums[m - 1]
                 sums[0] = n
-            terms = _terms(sums, 0, reach, -e, c.denominator, c.numerator, common)
+            terms = _terms(sums, 0, reach, -e, cd, cn, common)
             return Gossamer._make(tuple(terms), floor, True)
-    return _relabel(q, nu, -e, Fraction(c.denominator, c.numerator), 0)
+    return _relabel(q, nu, -e, cd, cn, 0)
 
 
 def _at_rational(p: Polynomial, q: Fraction) -> Fraction:
