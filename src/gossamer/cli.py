@@ -54,15 +54,24 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _endpoint_arg(text: str) -> Gossamer:
-    """An integer, or a gossamer expression such as 'w' for an infinite endpoint."""
+    """An integer, or a gossamer expression such as 'w' for an infinite endpoint.
+
+    A term below the default floor would drop, and the endpoint read as if
+    it were never there, so such an expression is usage.
+    """
     try:
         return Gossamer.from_rational(int(text))
     except ValueError:
         pass
     try:
-        return Gossamer.parse(text)
+        value = Gossamer.parse(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value.truncated:
+        raise argparse.ArgumentTypeError(
+            f"endpoint {text!r} has a term below the floor w^{DEFAULT_TRUNCATION_FLOOR}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

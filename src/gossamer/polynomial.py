@@ -159,7 +159,7 @@ class Polynomial:
                 return _at_finite(self, x)
             form = _monomial_plus_integer(terms)
             if form is not None:
-                return _relabel(self, x, *form)
+                return _relabel(self, x.truncation_floor, x.truncated, *form)
             return _horner(self.coefficients, x)
         if isinstance(x, (int, Fraction)):
             return _at_rational(self, x if type(x) is Fraction else Fraction(x))
@@ -332,18 +332,25 @@ def _monomial_plus_integer(terms: tuple):
     return (e, c.numerator, c.denominator, k) if e else None
 
 
-def _relabel(p: Polynomial, x: Gossamer, e, cn: int, cd: int, k: int) -> Gossamer:
-    """p(x) for x = (cn/cd)*w^e + k: term j of p(y + k) times (cn/cd)^j, at exponent j*e.
+def _relabel(
+    p: Polynomial, floor: Fraction, truncated: bool, e, cn: int, cd: int, k: int, less: int = 0
+) -> Gossamer:
+    """p(x) - less/L for x = (cn/cd)*w^e + k, L the lcm of p's integer form.
 
-    Horner's rule over the same x keeps exactly the terms at or above x's
-    floor, drops the rest with the flag, and is truncated when x is and p
-    is not a constant; so is this.  The terms come from p's integer form,
-    read as it is at k = 0, and only the nonzero ones build a ``Fraction``.
+    Term j of p(y + k) times (cn/cd)^j sits at exponent j*e.  Horner's rule
+    over x at ``floor``, x's flag ``truncated``, keeps exactly the terms at
+    or above the floor, drops the rest with the flag, and is truncated when
+    x is and p is not a constant; so is this.  A Taylor shift fixes
+    constants, so ``less`` comes off p's constant numerator before the
+    shift (``sums.sum_ftc`` passes L*G(a - 1)).  The terms come from p's
+    integer form, read as it is at k = 0 and less = 0, and only the nonzero
+    ones build a ``Fraction``.
     """
-    floor = x.truncation_floor
     common, numerators = _integer_form(p)
     if not numerators:
         return Gossamer._make((), floor, False)
+    if less:
+        numerators = (numerators[0] - less, *numerators[1:])
     shifted = _taylor_shift(numerators, k)
     top = len(shifted) - 1
     # j*e >= floor bounds j above when e < 0 and below when e > 0; floor/e
@@ -357,7 +364,7 @@ def _relabel(p: Polynomial, x: Gossamer, e, cn: int, cd: int, k: int) -> Gossame
     terms = _terms(shifted, lo, hi, e, cn, cd, common)
     if e > 0:
         terms.reverse()
-    return Gossamer._make(tuple(terms), floor, dropped or (x.truncated and top > 0))
+    return Gossamer._make(tuple(terms), floor, dropped or (truncated and top > 0))
 
 
 def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int) -> list:
@@ -405,7 +412,7 @@ def _at_reciprocal(q: Polynomial, nu: Gossamer, e, cn: int, cd: int, k: int) -> 
                 sums[0] = n
             terms = _terms(sums, 0, reach, -e, cd, cn, common)
             return Gossamer._make(tuple(terms), floor, True)
-    return _relabel(q, nu, -e, cd, cn, 0)
+    return _relabel(q, nu.truncation_floor, nu.truncated, -e, cd, cn, 0)
 
 
 def _at_rational(p: Polynomial, q: Fraction) -> Fraction:

@@ -15,8 +15,13 @@ certificate and G at an endpoint take no lcm of G's again, and G's
 ``Fraction`` coefficients are built only if something reads them.
 g keeps its certified closed form once built (``Polynomial._sum``), so
 G is folded and certified once per g, however many intervals are summed.
-``sum_ftc`` is the point difference G(b) - G(a - 1) for every pair of
-endpoints, finite or infinite.
+``sum_ftc`` is the point difference G(b) - G(a - 1).  For a finite
+integer a and b = c*w^e + k, c, e > 0, it is one read of G's integer
+form: a Taylor shift fixes constants, so G(a - 1), one integer Horner
+pass, comes off G's constant numerator before G is relabelled at b, and
+no series is built for a, a - 1, G(a - 1) or the difference.  Every
+other pair, an infinite a such as w among them, is the difference of two
+point values as series, which is the only way to G(a - 1) for such an a.
 ``prefix_sums_match``, G against running totals at deg g + 2 points, is
 the CLI's independent oracle.
 """
@@ -25,10 +30,16 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
-from .core import Gossamer
-from .polynomial import Polynomial, _from_numerators, _integer_form
+from .core import DEFAULT_TRUNCATION_FLOOR, Gossamer
+from .polynomial import (
+    Polynomial,
+    _from_numerators,
+    _integer_form,
+    _monomial_plus_integer,
+    _relabel,
+)
 from .riemann import faulhaber
 
 __all__ = [
@@ -168,16 +179,61 @@ def _endpoint(x: Endpoint) -> Gossamer:
     return x
 
 
+def _fold_lower(g: Polynomial, a: Endpoint, b: Endpoint) -> Optional[SumFtcResult]:
+    """G(b) - G(a - 1) as one read of G, for a finite integer a and b = c*w^e + k, c, e > 0.
+
+    a is an int or an integral ``Fraction``, both at the default floor, or
+    an untruncated series with no term but w^0, at its own floor.  Such a b
+    lies above every finite a, so the range is never empty, and both are
+    valid endpoints.  With G = N/L, G(a - 1) is N(a - 1)/L, one integer
+    Horner pass, and ``_relabel`` takes N(a - 1) off N's constant numerator
+    and reads G at b, at the floor max(floor_a, floor_b) that the series
+    difference takes.  Above a floor of 0 that difference drops G(b)'s and
+    G(a - 1)'s constants one by one, each with the flag, so a positive floor
+    gets None, as does every other pair.
+    """
+    if isinstance(a, Gossamer):
+        terms = a.terms
+        if a.truncated or len(terms) > 1 or (terms and terms[0][0]):
+            return None
+        lower, floor = terms[0][1] if terms else 0, a.truncation_floor
+    elif isinstance(a, (int, Fraction)):
+        lower, floor = a, DEFAULT_TRUNCATION_FLOOR
+    else:
+        return None
+    form = _monomial_plus_integer(b.terms) if isinstance(b, Gossamer) else None
+    if lower.denominator != 1 or form is None or form[0] < 0 or form[1] < 0:
+        return None
+    if floor is not b.truncation_floor:
+        floor = max(floor, b.truncation_floor)
+    if floor.numerator > 0:
+        return None
+    s = indefinite_sum(g)
+    m, at_m = lower.numerator - 1, 0
+    for n in reversed(_integer_form(s.point_function)[1]):
+        at_m = at_m * m + n
+    return SumFtcResult(_relabel(s.point_function, floor, b.truncated, *form, at_m), s)
+
+
 def sum_ftc(g: Polynomial, a: Endpoint, b: Endpoint) -> SumFtcResult:
     """sum_{k=a}^{b} g(k) = G(b) - G(a-1), both endpoints included.
 
-    Both point values are series, whatever the endpoints: at c*w^e + k,
-    G's coefficients relabelled; at a finite point, one Horner pass over
-    G's integer numerators (``Polynomial.evaluate``), so at a = 1 the
-    lower value is the zero series.  The sum over a+1..b is G(b) - G(a), i.e.
-    ``sum_at_point(s, b) - sum_at_point(s, a)``.  No oracle runs here;
-    construction certifies the closed form, once per g (``indefinite_sum``).
+    For a finite integer a and b = c*w^e + k above it, at a floor of 0 or
+    below, the value is one read of G's integer form (``_fold_lower``): no
+    series is built for a, a - 1, G(a - 1) or the difference.  Every other
+    pair is the series difference of two point values: at c*w^e + k, G's
+    coefficients relabelled; at a finite point, one Horner pass over G's
+    integer numerators (``Polynomial.evaluate``).  That path stays, as the
+    one for an infinite a (G(w - 1) is a series) and for the checks: a is
+    validated before b, and an empty range raises ``empty range: a > b``.
+    Both paths give the same terms, floor and flag.  The sum over a+1..b is
+    G(b) - G(a), i.e. ``sum_at_point(s, b) - sum_at_point(s, a)``.  No
+    oracle runs here; construction certifies the closed form, once per g
+    (``indefinite_sum``).
     """
+    folded = _fold_lower(g, a, b)
+    if folded is not None:
+        return folded
     a, b = _endpoint(a), _endpoint(b)
     if a.compare(b) > 0:
         raise ValueError(f"empty range: {a} > {b}")

@@ -3,8 +3,8 @@ from hypothesis import settings
 settings.register_profile("suite", max_examples=40, deadline=None, derandomize=True)
 # Selected with --hypothesis-profile deep; the CI runs the relabelling,
 # rational-point, power-sum fold, reciprocal read, panel condition, text
-# round-trip, exact curve sampling, bridge-inside, sum-value, kept-sum,
-# kept-width, certificate and comparison properties under it.
+# round-trip, exact curve sampling, bridge-inside, sum-value, infinite-value,
+# kept-sum, kept-width, certificate and comparison properties under it.
 settings.register_profile("deep", max_examples=500, deadline=None, derandomize=True)
 settings.load_profile("suite")
 

@@ -129,6 +129,25 @@ class TestSum:
     def test_empty_range_is_usage(self):
         assert main(["sum", "--term", "k", "--from", "5", "--to", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "option, text",
+        [("--from", "w^-20"), ("--to", "w+w^-17")],
+        ids=["from-drops-all", "to-drops-a-term"],
+    )
+    def test_term_below_the_floor_is_usage(self, option, text, capsys):
+        # Parsed at the default floor, the w^-20 or w^-17 term would drop
+        # and the endpoint read as 0 or w.
+        argv = ["sum", "--term", "k", "--from", "1", "--to", "5", "--json"]
+        argv[argv.index(option) + 1] = text
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {option}: endpoint {text!r} has a term below the floor w^-16\n"
+        )
+
     def test_infinite_endpoint_reports_the_prefix_sum_oracle(self, capsys):
         assert main(["sum", "--term", "k^2", "--from", "1", "--to", "w", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

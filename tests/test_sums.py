@@ -254,6 +254,10 @@ class TestSumFtc:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             sum_ftc(K, 11, 10)
+        # A finite a above b = c*w^e + k: c < 0.
+        with pytest.raises(ValueError) as raised:
+            sum_ftc(K, 1, -omega())
+        assert str(raised.value) == "empty range: 1 > -w"
 
     def test_non_integer_endpoint_rejected(self):
         # The message names the fault: w^-1's finite part is the integer 0,
@@ -265,6 +269,8 @@ class TestSumFtc:
             (1, Gossamer.parse("w + w^-1"), "no infinitesimal term, got w + w^-1"),
             (1, Gossamer.parse("w^-1"), "no infinitesimal term, got w^-1"),
             (Gossamer.parse("w^-1"), omega(), "no infinitesimal term, got w^-1"),
+            # Both invalid: a is checked first.
+            (Fraction(1, 2), Gossamer.parse("w + 1/2"), "an integer finite part, got 1/2"),
         ):
             with pytest.raises(ValueError) as raised:
                 sum_ftc(K, a, b)
@@ -286,6 +292,24 @@ class TestSumFtc:
         result = sum_ftc(g, 1, b)
         assert result.closed_form.point_function._coefficients is None
         assert same_value(result.value, point_value_difference(g, 1, b))
+
+    @pytest.mark.parametrize(
+        "a", [1, 7, Fraction(3), Gossamer.from_rational(-2)], ids=["1", "7", "Fraction-3", "series-2"]
+    )
+    def test_finite_lower_endpoint_builds_no_series(self, a, monkeypatch):
+        # G(a - 1) comes off G's constant numerator before the read at b:
+        # no series sum, difference, negation or comparison runs.
+        g = Polynomial.parse("3/2*k^5 - k^2 + 1/7")
+        bs = [omega(), omega(2), 3 * omega(), omega(Fraction(1, 2)), omega() + 1, omega() - 3]
+        expected = [point_value_difference(g, a, b) for b in bs]
+
+        def refuse(*args):
+            raise AssertionError("a finite lower endpoint builds no series")
+
+        for name in ("__add__", "__sub__", "__neg__", "compare"):
+            monkeypatch.setattr(Gossamer, name, refuse)
+        for b, value in zip(bs, expected, strict=True):
+            assert same_value(sum_ftc(g, a, b).value, value)
 
     def test_half_open_convention(self):
         # G(b) - G(a) is the sum over a+1..b.
@@ -324,7 +348,7 @@ class TestSumFtc:
 
 # Endpoints for sum_ftc: ints, finite series, c*w^e + k and other infinite
 # values, with random floors (positive ones included) and flags.
-endpoint_floors = st.sampled_from([None, -16, -3, 0, Fraction(1, 2), 2])
+endpoint_floors = st.sampled_from([None, -40, -16, -3, 0, Fraction(1, 2), 2])
 endpoint_series = st.one_of(
     st.integers(-5, 40).map(lambda n: ((0, n),)),
     st.tuples(
