@@ -57,6 +57,18 @@ Exponent = Union[int, Fraction]  # int exactly when integral
 DEFAULT_TRUNCATION_FLOOR = Fraction(-16)
 
 
+def _exact(value) -> Fraction:
+    """A caller's number as a ``Fraction``, converted as ``Fraction`` converts it.
+
+    A float is a TypeError: it stands for no exact rational, and 0.1 would
+    become 3602879701896397/36028797018963968.  ``core`` and ``polynomial``
+    convert every number a caller passes them here.
+    """
+    if isinstance(value, float):
+        raise TypeError(f"expected an exact rational, got float {value!r}")
+    return Fraction(value)
+
+
 class Kind(Enum):
     """Magnitude class of a value."""
 
@@ -94,13 +106,13 @@ class Gossamer:
         floor: Optional[RationalLike] = None,
         truncated: bool = False,
     ):
-        floor = DEFAULT_TRUNCATION_FLOOR if floor is None else Fraction(floor)
+        floor = DEFAULT_TRUNCATION_FLOOR if floor is None else _exact(floor)
         merged: dict = {}
         for exponent, coefficient in terms:
-            c = coefficient if type(coefficient) is Fraction else Fraction(coefficient)
+            c = coefficient if type(coefficient) is Fraction else _exact(coefficient)
             if not c:
                 continue
-            e = exponent if type(exponent) is int else Fraction(exponent)
+            e = exponent if type(exponent) is int else _exact(exponent)
             merged[e] = merged[e] + c if e in merged else c
         kept, dropped = _normalise(merged, floor)
         self.terms: Tuple[Tuple[Exponent, Fraction], ...] = kept
@@ -128,8 +140,8 @@ class Gossamer:
         if floor is None:
             floor = DEFAULT_TRUNCATION_FLOOR
         elif type(floor) is not Fraction:
-            floor = Fraction(floor)
-        value = value if type(value) is Fraction else Fraction(value)
+            floor = _exact(floor)
+        value = value if type(value) is Fraction else _exact(value)
         if not value:
             return cls._make((), floor, False)
         if floor > 0:
@@ -172,7 +184,7 @@ class Gossamer:
 
     def coefficient(self, exponent: RationalLike) -> Fraction:
         """Coefficient of ``w^exponent`` (zero when absent)."""
-        e = exponent if type(exponent) is int else Fraction(exponent)
+        e = exponent if type(exponent) is int else _exact(exponent)
         for exp, coeff in self.terms:
             if exp == e:
                 return coeff
@@ -305,7 +317,7 @@ class Gossamer:
                 if n:
                     base = base * base
             return result
-        exponent = Fraction(exponent)
+        exponent = _exact(exponent)
         if len(self.terms) == 1 and self.terms[0][1] == 1:
             return Gossamer(
                 ((self.terms[0][0] * exponent, 1),),
@@ -429,7 +441,7 @@ class Gossamer:
 
     def realize(self, floor: RationalLike) -> "Gossamer":
         """Truncate terms below ``floor`` (the transfer map for floor 0)."""
-        floor = Fraction(floor)
+        floor = _exact(floor)
         kept = tuple([(e, c) for e, c in self.terms if e >= floor])
         return Gossamer._make(
             kept,
@@ -447,7 +459,7 @@ class Gossamer:
         """
         if self.truncated:
             raise ValueError(f"cannot evaluate the truncated value {self} at a stand-in")
-        v = Fraction(value)
+        v = _exact(value)
         total = Fraction(0)
         for e, c in self.terms:
             if e.denominator != 1:
@@ -556,7 +568,7 @@ def bounded_series_sum(
     boundedness of the list is what keeps the result infinitesimal, so
     the result always classifies as zero or infinitesimal.
     """
-    coeffs = [Fraction(c) for c in coefficients]
+    coeffs = [_exact(c) for c in coefficients]
     if not coeffs:
         raise ValueError("coefficients must be non-empty")
     _require_infinitesimal(h)

@@ -10,10 +10,12 @@ coefficients' numerators over their lcm, taken once per polynomial and
 kept on it (``_integer_form``), or kept from construction when a closed
 form was built in integers (``_from_numerators``).  Such a polynomial
 builds its ``Fraction`` coefficients only when they are first read, so a
-closed form whose readers take the integer form alone builds none.
-A polynomial keeps the closed forms built from it in the same way: its
-certified sum G (``sums.indefinite_sum``) and its Euler-Maclaurin
-polynomial Q_f, whole (``riemann.uniform_riemann_sum``).
+closed form whose readers take the integer form alone builds none.  A
+value at w^e is read off the ``Fraction``s themselves: its terms are the
+polynomial's own coefficients, so every read there after the first
+builds no coefficient.  A polynomial keeps the closed forms built from
+it in the same way: its certified sum G (``sums.indefinite_sum``) and
+its Euler-Maclaurin polynomial Q_f, whole (``riemann.uniform_riemann_sum``).
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .core import (
     Kind,
     RationalLike,
     _common_numerators,
+    _exact,
     _lowest_terms,
     _require_infinitesimal,
 )
@@ -61,7 +64,8 @@ class Polynomial:
     ``(L, numerators)``, once an integer reader has asked for them
     (``_integer_form``), or from construction (``_from_numerators``).
     ``_coefficients`` holds the ``Fraction``s, or None until the first read
-    of ``coefficients`` when the polynomial was built from its form alone.
+    of ``coefficients`` when the polynomial was built from its form alone;
+    a value at w^e is such a read, and takes them as its terms.
     ``_sum`` holds the certified ``ClosedFormSum`` of this polynomial as a
     term, once ``sums.indefinite_sum`` has built it; ``_width`` holds Q_f,
     this polynomial's Euler-Maclaurin polynomial in the panel width, in
@@ -74,7 +78,7 @@ class Polynomial:
     __slots__ = ("_coefficients", "_form", "_sum", "_width")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else _exact(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coefficients: Optional[tuple[Fraction, ...]] = tuple(coeffs)
@@ -150,7 +154,8 @@ class Polynomial:
         as a series, with Horner's floor and flag (``_at_finite``).  At a
         series c*w^e + k (e != 0, k an integer, possibly 0) the value is
         p's coefficients relabelled: an integer Taylor shift by k gives the
-        coefficients r_j of p(y + k), and term j is r_j*c^j at w^(j*e).
+        coefficients r_j of p(y + k), and term j is r_j*c^j at w^(j*e).  At
+        w^e (c = 1, k = 0) that is p's own j-th ``Fraction``, not a new one.
         Every other series goes through Horner's rule; a float is a TypeError.
         """
         if isinstance(x, Gossamer):
@@ -289,9 +294,9 @@ def _from_numerators(common: int, numerators: list) -> Polynomial:
     The form is put in lowest terms here (``_lowest_terms``), so it is the
     one ``_integer_form`` would take, and trailing zero numerators are
     stripped.  No ``Fraction`` is built here: ``coefficients`` builds them
-    on its first read, and a reader of the form alone (the degree, the
-    ``ClosedFormSum`` certificate, a value at a rational point or at
-    c*w^e + k) never does.
+    on its first read, which a value at w^e makes, and a reader of the
+    form alone (the degree, the ``ClosedFormSum`` certificate, a value at
+    a rational point or at any other c*w^e + k) never does.
     """
     common, numerators = _lowest_terms(common, numerators)
     while numerators and not numerators[-1]:
@@ -343,14 +348,19 @@ def _relabel(
     x is and p is not a constant; so is this.  A Taylor shift fixes
     constants, so ``less`` comes off p's constant numerator before the
     shift (``sums.sum_ftc`` passes L*G(a - 1)).  The terms come from p's
-    integer form, read as it is at k = 0 and less = 0, and only the nonzero
-    ones build a ``Fraction``.
+    integer form, read as it is at k = 0 and less = 0.  At x = w^e (c = 1,
+    k = 0, less = 0) term j's coefficient is p's own j-th, so the terms
+    take p's ``Fraction``s, built once per p and kept; every other x
+    builds one ``Fraction`` per nonzero term.
     """
     common, numerators = _integer_form(p)
     if not numerators:
         return Gossamer._make((), floor, False)
+    own = None
     if less:
         numerators = (numerators[0] - less, *numerators[1:])
+    elif not k and cn == 1 and cd == 1:
+        own = p.coefficients
     shifted = _taylor_shift(numerators, k)
     top = len(shifted) - 1
     # j*e >= floor bounds j above when e < 0 and below when e > 0; floor/e
@@ -361,14 +371,21 @@ def _relabel(
     else:
         lo, hi = max(0, -(-n // d)), top
     dropped = any(shifted[:lo]) or any(shifted[hi + 1 :])
-    terms = _terms(shifted, lo, hi, e, cn, cd, common)
+    terms = _terms(shifted, lo, hi, e, cn, cd, common, own)
     if e > 0:
         terms.reverse()
     return Gossamer._make(tuple(terms), floor, dropped or (truncated and top > 0))
 
 
-def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int) -> list:
-    """``(j*e, r_j*(cn/cd)^j/common)`` for each nonzero r_j, j = lo..hi, in that order."""
+def _terms(
+    numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, common: int, own=None
+) -> list:
+    """``(j*e, r_j*(cn/cd)^j/common)`` for each nonzero r_j, j = lo..hi, in that order.
+
+    ``own``, when given, holds those coefficients already as ``Fraction``s
+    (p's own, at cn/cd = 1 and no shift), and term j takes ``own[j]`` as
+    it is.  Either way a term is skipped by its integer r_j.
+    """
     en, ed = e.numerator, e.denominator
     power_n, power_d = cn**lo, common * cd**lo
     terms = []
@@ -377,7 +394,8 @@ def _terms(numerators: Sequence[int], lo: int, hi: int, e, cn: int, cd: int, com
         if r:
             n = j * en
             exponent = n // ed if not n % ed else Fraction(n, ed)
-            terms.append((exponent, Fraction(r * power_n, power_d)))
+            coefficient = own[j] if own is not None else Fraction(r * power_n, power_d)
+            terms.append((exponent, coefficient))
         power_n *= cn
         power_d *= cd
     return terms
@@ -503,11 +521,13 @@ class OrderSwap(NamedTuple):
 def _rational_argument(value, name: str) -> Fraction:
     """``value`` as a ``Fraction``; a gossamer value raises ValueError naming the argument.
 
+    A float raises TypeError, as everywhere in this module (``core._exact``).
+
     The identity and FTC checks below take rational arguments only, for now.
     """
     if isinstance(value, Gossamer):
         raise ValueError(f"{name} must be rational, got the gossamer value {value}")
-    return Fraction(value)
+    return _exact(value)
 
 
 def scale_integral_identity(

@@ -12,7 +12,9 @@ none.  The Bernoulli numbers solve their defining recurrence, and the
 ``faulhaber`` rows serve the sums module.  At nu = c*w^e + k (k an
 integer) Q_f(1/nu) is read off Q_f's numerators, relabelled when 1/nu is
 a monomial and by Horner's rule in the series of 1/nu otherwise, with no
-series inverse; any other nu takes Horner's rule over ``nu.inverse()``.
+series inverse; at nu = w^e the relabelled terms are Q_f's own
+``Fraction`` coefficients, built on the first such read and kept with
+Q_f.  Any other nu takes Horner's rule over ``nu.inverse()``.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f, and
 whether one panel's is asymptotic to its sample is a test on two
 rationals.  A finite count n reads the same Q_f at 1/n.
@@ -144,7 +146,7 @@ def _width_polynomial(f: Polynomial) -> Polynomial:
     common denominator, and the s_i of a zero weight (odd i >= 3, where
     B_i = 0) are not summed.  Q_f keeps those numerators as its integer
     form (``_from_numerators``), so a reader of the form builds no
-    ``Fraction``.
+    ``Fraction``; a read at nu = w^e builds Q_f's coefficients once.
     """
     width = f._width
     if width is None:
@@ -168,7 +170,8 @@ def uniform_riemann_sum(f: Polynomial, nu: Optional[Gossamer] = None) -> Uniform
     [0, 1] and q_i = B_i/i!*(f^(i-1)(1) - f^(i-1)(0)), B_1 = +1/2, built
     once per f in integers and kept on it (``_width_polynomial``).  At
     nu = c*w^e + k, k an integer, Q_f(1/nu) is read off Q_f's numerators
-    with no series inverse (``polynomial._at_reciprocal``); any other nu
+    with no series inverse (``polynomial._at_reciprocal``), and at w^e its
+    terms are Q_f's own coefficients; any other nu
     takes Horner's rule over ``nu.inverse()``.  Powers of 1/nu lead with
     negative exponents, so every term kept above the floor is exact.
     ``conjecture_probe`` reads the same Q_f at 1/n for a finite n.

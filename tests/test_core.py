@@ -329,6 +329,31 @@ class TestRationalValues:
         assert g("w^-1 - w^-2").at_omega(2) == Fraction(1, 4)
 
 
+# A caller's float at each entry point that converts numbers: it stands for
+# no exact rational, so none takes it as its binary fraction.
+FLOAT_INPUTS = {
+    "term-coefficient": lambda: Gossamer([(0, 0.1)]),
+    "zero-term-coefficient": lambda: Gossamer([(1, 0.0)]),
+    "term-exponent": lambda: Gossamer([(0.5, 1)]),
+    "floor": lambda: Gossamer(floor=-16.0),
+    "from-rational": lambda: Gossamer.from_rational(0.1),
+    "from-rational-floor": lambda: Gossamer.from_rational(1, floor=-2.0),
+    "omega": lambda: omega(0.5),
+    "omega-floor": lambda: omega(1, floor=-3.0),
+    "bounded-series-sum": lambda: bounded_series_sum([1, 0.5], H, 3),
+    "power": lambda: W**0.5,
+    "coefficient": lambda: W.coefficient(1.0),
+    "realize": lambda: W.realize(0.0),
+    "at-omega": lambda: W.at_omega(2.0),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_INPUTS)
+def test_a_float_is_a_type_error(case):
+    with pytest.raises(TypeError, match="^expected an exact rational, got float "):
+        FLOAT_INPUTS[case]()
+
+
 class TestCancellationFlag:
     def test_constructor_cancellation_below_floor_is_exact(self):
         value = Gossamer(((0, 1), (-20, 5), (-20, -5)))

@@ -107,11 +107,17 @@ relabel_floors = st.sampled_from([-40, -16, Fraction(-7, 2), -1, 0, 2])
     relabel_floors,
     st.booleans(),
 )
+# At w^2 and w^-1/2 each term takes p's own coefficient.
+@example(Polynomial.parse("3/2*x^5 - x^2 + 1/7"), Fraction(2), Fraction(1), 0, -16, False)
+@example(Polynomial.parse("3/2*x^5 - x^2 + 1/7"), Fraction(-1, 2), Fraction(1), 0, -16, True)
 def test_relabelling_matches_horner(p, e, c, k, floor, truncated):
     # x = c*w^e + k; at floor 2 the constant, and any w^e below 2, drop with the flag.
     x = Gossamer(((e, c), (0, k)), floor=floor, truncated=truncated)
     value = p.evaluate(x)
     assert same_value(value, _horner(p.coefficients, x))
+    if c == 1 and not k:
+        # At w^e term j is p's own coefficient, not a copy of it.
+        assert all(co is p.coefficients[int(ex / e)] for ex, co in value.terms)
     if not value.truncated and not x.truncated:
         # Read every exponent as a multiple of 1/q and put w^(1/q) = 3.
         q = Fraction(e).denominator
@@ -178,12 +184,18 @@ def read_at_reciprocal(q, nu):
 @example(Polynomial.monomial(16), 1, 1, 1, None, -16, False)
 @example(Polynomial.parse("2*x^3 - x + 5/3"), 17, 1, 1, None, -16, False)
 @example(Polynomial.parse("2*x^3 - x + 5/3"), 17, Fraction(-2, 3), -3, None, -16, True)
+# At nu = w^2, 1/nu = w^-2 and each term takes q's own coefficient.
+@example(Polynomial.parse("2*x^3 - x + 5/3"), 2, 1, 0, None, -16, False)
 def test_reciprocal_relabelling_matches_horner(q, e, c, k, s, floor, truncated):
     # At floor 2 the constant k, and w^e for e < 2, drop from nu itself.
     second = () if s is None else ((s * e, 1),)
     nu = Gossamer(((e, c), (0, k)) + second, floor=floor, truncated=truncated)
     assume(nu.terms)
-    assert same_value(read_at_reciprocal(q, nu), _horner(q.coefficients, nu.inverse()))
+    value = read_at_reciprocal(q, nu)
+    assert same_value(value, _horner(q.coefficients, nu.inverse()))
+    if c == 1 and not k and s is None:
+        # At 1/nu = w^-e term j is q's own coefficient, not a copy of it.
+        assert all(co is q.coefficients[int(-ex / e)] for ex, co in value.terms)
 
 
 # A rational point q as an int, a Fraction and the series q*w^0 (the zero
@@ -266,6 +278,23 @@ class TestInit:
     def test_other_inputs_convert(self, raw, expected):
         (c,) = Polynomial([raw]).coefficients
         assert type(c) is Fraction and c == expected
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Polynomial([0.1]),
+            lambda: Polynomial([1, Fraction(1, 2), 0.5]),
+            lambda: Polynomial.constant(0.1),
+            lambda: Polynomial.monomial(2, 0.5),
+            lambda: scale_integral_identity(X2, 0, 1, 0.5),
+            lambda: shift_integral_identity(X2, 0.0, 1, 2),
+        ],
+        ids=["init", "init-last", "constant", "monomial", "scale-alpha", "shift-a"],
+    )
+    def test_float_is_a_type_error(self, build):
+        # A float stands for no exact rational: 0.1 is no binary fraction here.
+        with pytest.raises(TypeError, match="^expected an exact rational, got float 0"):
+            build()
 
 
 # Arguments that read a polynomial's integer form alone (rationals, c*w^e + k

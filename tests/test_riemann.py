@@ -283,6 +283,15 @@ def test_width_polynomial_is_built_once_per_integrand(monkeypatch):
     assert _width_polynomial(f) is f._width
 
 
+def test_sums_at_a_unit_scale_count_share_q_fs_coefficients():
+    # At nu = w^2, 1/nu = w^-2 and each term is Q_f's own coefficient, built
+    # on the first read and kept: a second sum builds none.
+    f = Polynomial.parse("3/7*x^40 - 1/2*x^2 + 1/3")
+    first, second = (uniform_riemann_sum(f, omega(2)).value for _ in range(2))
+    assert first.terms and [e for e, _ in first.terms] == [e for e, _ in second.terms]
+    assert all(a is b for (_, a), (_, b) in zip(first.terms, second.terms))
+
+
 @given(sparse_or_dense)
 def test_a_kept_width_gives_a_fresh_integrands_values(f):
     # One f through every count twice, each read off the one Q_f it keeps,

@@ -286,11 +286,21 @@ class TestSumFtc:
         "b", [omega(), omega(2), 3 * omega(), omega() + 1], ids=["w", "w^2", "3w", "w+1"]
     )
     def test_value_builds_no_coefficient_of_the_point_function(self, b):
-        # G(b) at c*w^e + k, and G(0) = 0 certified, read G's integer form
-        # alone: its Fractions stay unbuilt.
+        # G(b) at c*w^e + k, and G(0) = 0 certified, reads G's integer form.
+        # At 3w and w + 1 that is all it reads: G's Fractions stay unbuilt.
+        # At w^e each term is G's own coefficient, built on the first read
+        # and kept, so a second sum builds no coefficient at all.
         g = Polynomial.parse("3/2*k^5 - k^2 + 1/7")
         result = sum_ftc(g, 1, b)
-        assert result.closed_form.point_function._coefficients is None
+        point_function = result.closed_form.point_function
+        if len(b.terms) == 1 and b.terms[0][1] == 1:
+            own, exponent = point_function._coefficients, b.terms[0][0]
+            again = sum_ftc(g, 1, b).value
+            assert point_function._coefficients is own
+            for value in (result.value, again):
+                assert all(c is own[e // exponent] for e, c in value.terms)
+        else:
+            assert point_function._coefficients is None
         assert same_value(result.value, point_value_difference(g, 1, b))
 
     @pytest.mark.parametrize(
