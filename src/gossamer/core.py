@@ -61,8 +61,8 @@ def _exact(value) -> Fraction:
     """A caller's number as a ``Fraction``, converted as ``Fraction`` converts it.
 
     A float is a TypeError: it stands for no exact rational, and 0.1 would
-    become 3602879701896397/36028797018963968.  ``core`` and ``polynomial``
-    convert every number a caller passes them here.
+    become 3602879701896397/36028797018963968.  ``core``, ``polynomial``
+    and ``steps`` convert every number a caller passes them here.
     """
     if isinstance(value, float):
         raise TypeError(f"expected an exact rational, got float {value!r}")

@@ -8,13 +8,15 @@ coefficients come, as integer numerators over one common denominator,
 from one pass over f's nonzero coefficients and a row of Bernoulli
 weights B_i/i over one lcm, one row per degree, and f keeps Q_f
 (``Polynomial._width``), so every later sum of f, at any count, builds
-none.  The Bernoulli numbers solve their defining recurrence, and the
-``faulhaber`` rows serve the sums module.  At nu = c*w^e + k (k an
-integer) Q_f(1/nu) is read off Q_f's numerators, relabelled when 1/nu is
-a monomial and by Horner's rule in the series of 1/nu otherwise, with no
-series inverse; at nu = w^e the relabelled terms are Q_f's own
-``Fraction`` coefficients, built on the first such read and kept with
-Q_f.  Any other nu takes Horner's rule over ``nu.inverse()``.
+none.  The Bernoulli numbers solve their defining recurrence over
+integers, one ``Fraction`` per number, and the ``faulhaber`` rows, which
+serve the sums module, are built as integer numerators over one
+denominator, with no ``Fraction`` unless their coefficients are read.
+At nu = c*w^e + k (k an integer) Q_f(1/nu) is read off Q_f's numerators,
+relabelled when 1/nu is a monomial and by Horner's rule in the series of
+1/nu otherwise, with no series inverse; at nu = w^e the relabelled terms
+are Q_f's own ``Fraction`` coefficients, built on the first such read
+and kept with Q_f.  Any other nu takes Horner's rule over ``nu.inverse()``.
 An integral of f(x/nu) is nu*F(x/nu) between its endpoints, F' = f, and
 whether one panel's is asymptotic to its sample is a test on two
 rationals.  A finite count n reads the same Q_f at 1/n.
@@ -32,6 +34,7 @@ from .core import (
     Kind,
     RationalLike,
     ZeroMagnitudeError,
+    _common_numerators,
     omega,
 )
 from .polynomial import (
@@ -65,15 +68,19 @@ __all__ = [
 def bernoulli_number(m: int) -> Fraction:
     """Bernoulli number B_m with B_1 = +1/2, cached.
 
-    B_m solves sum_{k=0}^{m} C(m+1, k)*B_k = m + 1 over the cached B_k,
-    k < m, asked for in ascending k, so a cold call recurses one level.
     That sign convention makes the power-sum closed forms include the
-    upper endpoint, matching sums of the form sum_{k=1}^{n}.
+    upper endpoint, matching sums of the form sum_{k=1}^{n}.  B_m solves
+    sum_{k=0}^{m} C(m+1, k)*B_k = m + 1 over the cached B_k, k < m, asked
+    for in ascending k, so a cold call recurses one level.  The sum runs
+    over integers, the B_k as numerators n_k over their lcm L
+    (``_common_numerators``): B_m = ((m+1)*L - sum_k C(m+1, k)*n_k)/((m+1)*L),
+    the one ``Fraction`` a call builds.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    lower = sum(math.comb(m + 1, k) * bernoulli_number(k) for k in range(m))
-    return Fraction(m + 1 - lower, m + 1)
+    common, numerators = _common_numerators([bernoulli_number(k) for k in range(m)])
+    lower = sum([math.comb(m + 1, k) * n for k, n in enumerate(numerators) if n])
+    return Fraction((m + 1) * common - lower, (m + 1) * common)
 
 
 @lru_cache(maxsize=None)
@@ -93,13 +100,22 @@ def _bernoulli_weights(top: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def faulhaber(p: int) -> Polynomial:
-    """Closed form S_p with S_p(n) = sum_{k=1}^{n} k^p; degree p+1, no constant term."""
+    """Closed form S_p with S_p(n) = sum_{k=1}^{n} k^p; degree p+1, no constant term.
+
+    The coefficient of n^(p+1-j) is C(p+1, j)*B_j/(p+1).  The row is built
+    in integers: B_0..B_p as numerators n_j over their lcm L, so that
+    coefficient is C(p+1, j)*n_j over (p+1)*L, and the row keeps that
+    integer form (``_from_numerators``).  It builds no ``Fraction``: its
+    coefficients are built only if something reads them, and the power-sum
+    fold (``sums.indefinite_sum``) reads the integer form alone.
+    """
     if p < 0:
         raise ValueError("p must be >= 0")
-    coeffs = [Fraction(0)] * (p + 2)
-    for j in range(p + 1):
-        coeffs[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * bernoulli_number(j)
-    return Polynomial(coeffs)
+    common, numerators = _common_numerators([bernoulli_number(j) for j in range(p + 1)])
+    row = [0] * (p + 2)
+    for j, n in enumerate(numerators):
+        row[p + 1 - j] = math.comb(p + 1, j) * n
+    return _from_numerators((p + 1) * common, row)
 
 
 class UniformRiemannSum(namedtuple("UniformRiemannSum", "integrand partition_count value")):

@@ -5,6 +5,8 @@ interpolant over an interval of infinitesimal half-width makes the curve
 continuous without changing any area by more than an infinitesimal --
 here, for the symmetric interpolants used, by exactly nothing.  The
 bridge collapses back to the original step under transfer to the reals.
+Every number a caller passes in is converted by ``core._exact``, so a
+float is a TypeError here, as in ``core`` and ``polynomial``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple, Union
 
-from .core import Gossamer, Kind, NotInfinitesimalError, RationalLike
+from .core import Gossamer, Kind, NotInfinitesimalError, RationalLike, _exact
 from .polynomial import Polynomial
 
 __all__ = [
@@ -46,8 +48,8 @@ class StepFunction(namedtuple("StepFunction", "breakpoints levels")):
     __slots__ = ()
 
     def __new__(cls, breakpoints: Iterable[RationalLike], levels: Iterable[RationalLike]):
-        breakpoints = tuple(Fraction(q) for q in breakpoints)
-        levels = tuple(Fraction(y) for y in levels)
+        breakpoints = tuple(_exact(q) for q in breakpoints)
+        levels = tuple(_exact(y) for y in levels)
         if len(levels) != len(breakpoints) + 1:
             raise ValueError("need exactly one more level than breakpoints")
         for prev, cur in zip(breakpoints, breakpoints[1:]):
@@ -61,7 +63,7 @@ class StepFunction(namedtuple("StepFunction", "breakpoints levels")):
         return cls(*iterable)
 
     def value_at(self, x: RationalLike) -> Fraction:
-        return self.levels[bisect_left(self.breakpoints, Fraction(x))]
+        return self.levels[bisect_left(self.breakpoints, _exact(x))]
 
     def jumps(self) -> Iterator[Tuple[Fraction, Fraction, Fraction]]:
         """(breakpoint, left level, right level) per discontinuity."""
@@ -70,7 +72,7 @@ class StepFunction(namedtuple("StepFunction", "breakpoints levels")):
 
     def area(self, a: RationalLike, b: RationalLike) -> Fraction:
         """Exact signed area over [a, b]."""
-        a, b = Fraction(a), Fraction(b)
+        a, b = _exact(a), _exact(b)
         if a > b:
             raise ValueError(f"empty interval: {a} > {b}")
         cuts = [a] + [q for q in self.breakpoints if a < q < b] + [b]
@@ -124,7 +126,7 @@ def _rationals(data: dict, key: str) -> tuple:
 
 def iverson_step(q: RationalLike) -> StepFunction:
     """The unit step [x > q]: zero through q, one after."""
-    return StepFunction((Fraction(q),), (Fraction(0), Fraction(1)))
+    return StepFunction((q,), (0, 1))
 
 
 def step_sum(steps: Iterable[Tuple[RationalLike, RationalLike]]) -> StepFunction:
@@ -135,8 +137,8 @@ def step_sum(steps: Iterable[Tuple[RationalLike, RationalLike]]) -> StepFunction
     """
     weights: dict[Fraction, Fraction] = {}
     for q, weight in steps:
-        q = Fraction(q)
-        weights[q] = weights.get(q, Fraction(0)) + Fraction(weight)
+        q = _exact(q)
+        weights[q] = weights.get(q, Fraction(0)) + _exact(weight)
     breakpoints = sorted(q for q, w in weights.items() if w)
     levels = [Fraction(0)]
     for q in breakpoints:
@@ -212,7 +214,7 @@ class SmoothedFunction(namedtuple("SmoothedFunction", "base bridge_shape halfwid
         """Exact value, including inside bridges; continuous across every boundary."""
         floor = self.halfwidth.truncation_floor
         if not isinstance(x, Gossamer):
-            x = Gossamer.from_rational(Fraction(x), floor=floor)
+            x = Gossamer.from_rational(_exact(x), floor=floor)
         y = _curve_at(self.base, self.bridge_shape, x, self.halfwidth)
         return y if isinstance(y, Gossamer) else Gossamer.from_rational(y, floor=floor)
 
@@ -230,7 +232,7 @@ def smooth(
 
 def smoothed_area(f2: SmoothedFunction, a: RationalLike, b: RationalLike) -> Gossamer:
     """Exact integral over [a, b]: constant runs plus closed-form bridge integrals."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _exact(a), _exact(b)
     if a > b:
         raise ValueError(f"empty interval: {a} > {b}")
     for q in f2.base.breakpoints:
@@ -312,8 +314,8 @@ def sample_curve(
     The same evaluator as ``SmoothedFunction.value_at``, at a rational
     half-width in place of the infinitesimal one; for plotting.
     """
-    halfwidth = Fraction(halfwidth)
+    halfwidth = _exact(halfwidth)
     if halfwidth <= 0:
         raise ValueError("stand-in half-width must be positive")
     shape = BridgeShape(shape)
-    return [_curve_at(step, shape, Fraction(x), halfwidth) for x in xs]
+    return [_curve_at(step, shape, _exact(x), halfwidth) for x in xs]

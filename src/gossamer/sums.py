@@ -9,8 +9,9 @@ the residual could have, in O(deg G) shifts and adds plus one shift per
 nonzero term of g.  G itself is the power-sum fold sum_d c_d*S_d over the
 cached ``faulhaber`` rows, added as integer numerators over one lcm,
 skipping the rows' zero numerators; it is the library's only fold over
-those rows.  Each row keeps its numerators, so it pays its lcm once per
-process, and G is kept as the numerators it was built from, so the
+those rows.  Each row is built as integer numerators over one
+denominator (``riemann.faulhaber``), so the fold takes no lcm of a row's
+coefficients, and G is kept as the numerators it was built from, so the
 certificate and G at an endpoint take no lcm of G's again, and G's
 ``Fraction`` coefficients are built only if something reads them.
 g keeps its certified closed form once built (``Polynomial._sum``), so
@@ -101,15 +102,17 @@ def indefinite_sum(g: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{k=1}^{n} g(k): the power-sum fold sum_d c_d*S_d, certified.
 
     S_d is the cached ``faulhaber(d)`` row, read once per nonzero c_d in
-    ascending d, with its integer numerators N_d over their lcm D_d, which
-    the row keeps.  The fold runs over integers: with c_d = a_d/b_d,
-    a_d*(L/(b_d*D_d))*N_d goes into the slots, L the lcm of every b_d*D_d,
-    for each nonzero numerator of the row.  ``_from_numerators`` puts L and
-    the slots in lowest terms, which G keeps as its integer form, so the
-    ``ClosedFormSum`` certificate and G at an endpoint take no lcm again and
-    build no ``Fraction`` of G's.  The record is kept on g (``g._sum``) and
-    returned as it is by every later call with g; its ``term`` is g, a
-    reference cycle that the cyclic garbage collector frees.
+    ascending d, with its integer numerators N_d over their lcm D_d, the
+    form the row is built in, so no lcm of a row's coefficients is taken
+    here and no ``Fraction`` of the row's is built.  The fold runs over
+    integers: with c_d = a_d/b_d, a_d*(L/(b_d*D_d))*N_d goes into the
+    slots, L the lcm of every b_d*D_d, for each nonzero numerator of the
+    row.  ``_from_numerators`` puts L and the slots in lowest terms, which
+    G keeps as its integer form, so the ``ClosedFormSum`` certificate and G
+    at an endpoint take no lcm again and build no ``Fraction`` of G's.  The
+    record is kept on g (``g._sum``) and returned as it is by every later
+    call with g; its ``term`` is g, a reference cycle that the cyclic
+    garbage collector frees.
     """
     if g._sum is not None:
         return g._sum

@@ -1,4 +1,7 @@
 """Riemann engine: closed-form sums at infinity against brute-force oracles."""
+import contextlib
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -64,6 +67,51 @@ COUNTS = {
 }
 
 
+@functools.cache
+def bernoulli_alone(n: int) -> Fraction:
+    """B_n (B_1 = +1/2) from an Akiyama-Tanigawa table of its own, read at its end."""
+    work = [Fraction(1, m + 1) for m in range(n + 1)]
+    for m in range(n + 1):
+        for j in range(m, 0, -1):
+            work[j - 1] = j * (work[j - 1] - work[j])
+    return work[0]
+
+
+def fraction_row(p: int) -> tuple:
+    """S_p's coefficients in Fraction arithmetic: C(p+1, j)/(p+1)*B_j at n^(p+1-j)."""
+    coefficients = [Fraction(0)] * (p + 2)
+    for j in range(p + 1):
+        coefficients[p + 1 - j] = Fraction(math.comb(p + 1, j), p + 1) * bernoulli_alone(j)
+    return tuple(coefficients)
+
+
+@contextlib.contextmanager
+def counting_fractions():
+    """A list that grows by one for each ``Fraction`` built in the block.
+
+    ``Fraction(...)`` goes through ``__new__``; arithmetic on Python 3.12
+    and later builds its results through ``_from_coprime_ints`` instead.
+    """
+    built = []
+    new = Fraction.__dict__["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        coprime = Fraction.__dict__.get("_from_coprime_ints")
+        if coprime is not None:
+
+            def counting_coprime(cls, numerator, denominator):
+                built.append(cls)
+                return coprime.__func__(cls, numerator, denominator)
+
+            patch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        yield built
+
+
 def brute_power_sum(p: int, n: int) -> Fraction:
     total = Fraction(0)
     for k in range(1, n + 1):
@@ -87,22 +135,29 @@ class TestBernoulli:
             bernoulli_number(-1)
 
     def test_growing_prefix_matches_rows_computed_alone(self):
-        # Oracle: an Akiyama-Tanigawa table of its own for each n, read at its end.
-        def alone(n):
-            work = [Fraction(1, m + 1) for m in range(n + 1)]
-            for m in range(n + 1):
-                for j in range(m, 0, -1):
-                    work[j - 1] = j * (work[j - 1] - work[j])
-                if m == n:
-                    return work[0]
-
-        order = [5, 0, 33, 12, 81, 1, 40]
+        order = [5, 0, 33, 12, 81, 1, 40, 100, 101, 120]
         for cold in (False, True):
             if cold:
                 bernoulli_number.cache_clear()
                 assert bernoulli_number.cache_info().currsize == 0  # started over
-            assert [bernoulli_number(m) for m in order] == [alone(m) for m in order]
+            assert [bernoulli_number(m) for m in order] == [bernoulli_alone(m) for m in order]
+            assert all(type(bernoulli_number(m)) is Fraction for m in order)
         assert bernoulli_number(12) == Fraction(-691, 2730)
+
+    def test_a_cold_number_builds_one_fraction(self):
+        # Work count, not time: the recurrence sums integers, so a cold call
+        # builds one Fraction per B_m it has not seen, and a warm call none.
+        bernoulli_number.cache_clear()
+        with counting_fractions() as built:
+            bernoulli_number(40)
+        assert len(built) == 41  # B_0..B_40
+        with counting_fractions() as built:
+            bernoulli_number(120)
+        assert len(built) == 80  # B_41..B_120
+        with counting_fractions() as built:
+            bernoulli_number(120)
+            bernoulli_number(7)
+        assert built == []
 
     def test_cleared_caches_start_cold(self):
         # A cold traced set-up calls cache_clear on every module attribute that has one.
@@ -114,6 +169,50 @@ class TestBernoulli:
 
 
 class TestFaulhaber:
+    @example(degrees=list(range(121)), cold=False)
+    @example(degrees=[120, 0, 101, 100], cold=True)
+    @given(st.lists(st.integers(0, 120), min_size=1, max_size=4), st.booleans())
+    def test_integer_rows_match_fraction_arithmetic(self, degrees, cold):
+        # Each row, built in integers, against the row built in Fractions from
+        # Bernoulli numbers of the independent table, cold or warm, in any order.
+        if cold:
+            bernoulli_number.cache_clear()
+            faulhaber.cache_clear()
+        for p in degrees:
+            row = faulhaber(p)
+            assert bernoulli_number(p) == bernoulli_alone(p)
+            assert row.coefficients == fraction_row(p)
+            assert all(type(c) is Fraction for c in row.coefficients)
+            common, numerators = _common_numerators(row.coefficients)
+            assert _integer_form(row) == (common, tuple(numerators))
+
+    def test_a_row_keeps_only_its_integer_form_until_read(self):
+        faulhaber.cache_clear()
+        indefinite_sum(Polynomial.parse("x^7 + 2/3*x^3 - 5"))
+        rows = {p: faulhaber(p) for p in (0, 3, 7, 120)}
+        assert rows[120].degree == 121
+        assert rows[7].evaluate(Fraction(17)) == brute_power_sum(7, 17)
+        # Folded into G, asked for its degree, read at a rational point: no Fraction coefficient yet.
+        assert all(row._coefficients is None for row in rows.values())
+        for p, row in rows.items():
+            coefficients = row.coefficients
+            assert row._coefficients is coefficients
+            assert coefficients == fraction_row(p)
+
+    def test_a_cold_row_builds_no_fraction(self):
+        # Work count, not time: with the Bernoulli numbers warm, a cold row
+        # builds none; with them cold, only the new B_0..B_p.
+        bernoulli_number.cache_clear()
+        faulhaber.cache_clear()
+        with counting_fractions() as built:
+            faulhaber(30)
+        assert len(built) == 31
+        bernoulli_number(120)
+        with counting_fractions() as built:
+            for p in range(121):
+                faulhaber(p)
+        assert built == []
+
     def test_squares_closed_form(self):
         assert faulhaber(2) == Polynomial(
             (0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))

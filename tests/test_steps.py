@@ -73,6 +73,32 @@ class TestStepFunction:
             StepFunction((1,), (0,))  # levels too short
 
 
+# A caller's float at each entry point that converts numbers: it stands for
+# no exact rational, so none takes it as its binary fraction (0.1 would break
+# at 3602879701896397/36028797018963968).
+FLOAT_INPUTS = {
+    "breakpoint": lambda: StepFunction((0.1,), (0, 1)),
+    "level": lambda: StepFunction((0,), (0, 0.5)),
+    "value-at": lambda: iverson_step(0).value_at(0.5),
+    "area-from": lambda: iverson_step(0).area(-1.0, 1),
+    "area-to": lambda: iverson_step(0).area(-1, 1.0),
+    "iverson-step": lambda: iverson_step(0.1),
+    "step-sum-breakpoint": lambda: step_sum([(0.1, 1)]),
+    "step-sum-weight": lambda: step_sum([(0, 0.5)]),
+    "smoothed-value-at": lambda: smooth(iverson_step(0), "linear", EPS).value_at(0.5),
+    "smoothed-area-from": lambda: smoothed_area(smooth(iverson_step(0), "linear", EPS), -1.0, 1),
+    "smoothed-area-to": lambda: smoothed_area(smooth(iverson_step(0), "linear", EPS), -1, 1.0),
+    "sample-curve-point": lambda: sample_curve(iverson_step(0), "linear", Fraction(1, 4), [0.1]),
+    "halfwidth": lambda: sample_curve(iverson_step(0), "linear", 0.25, [0]),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_INPUTS)
+def test_a_float_is_a_type_error(case):
+    with pytest.raises(TypeError, match="^expected an exact rational, got float "):
+        FLOAT_INPUTS[case]()
+
+
 class TestArea:
     def test_heavyside(self):
         assert iverson_step(0).area(-1, 1) == 1
